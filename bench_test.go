@@ -10,6 +10,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"wsndse/internal/app"
 	"wsndse/internal/casestudy"
 	"wsndse/internal/core"
 	"wsndse/internal/cs"
@@ -18,13 +19,14 @@ import (
 	"wsndse/internal/ecg"
 	"wsndse/internal/experiments"
 	ieee "wsndse/internal/ieee802154"
+	"wsndse/internal/scenario"
 	"wsndse/internal/sim"
 	"wsndse/internal/units"
 )
 
 // benchFeasibleConfig finds one feasible case-study configuration,
 // deterministically.
-func benchFeasibleConfig(b *testing.B, problem *casestudy.Problem) dse.Config {
+func benchFeasibleConfig(b *testing.B, problem *scenario.Problem) dse.Config {
 	b.Helper()
 	eval := problem.Evaluator()
 	rng := rand.New(rand.NewSource(1))
@@ -321,7 +323,7 @@ func BenchmarkEventEngineTyped(b *testing.B) {
 
 // benchBatchConfigs draws one fixed batch of case-study configurations for
 // the EvaluateBatch benchmarks.
-func benchBatchConfigs(problem *casestudy.Problem, n int) []dse.Config {
+func benchBatchConfigs(problem *scenario.Problem, n int) []dse.Config {
 	rng := rand.New(rand.NewSource(7))
 	configs := make([]dse.Config, n)
 	for i := range configs {
@@ -405,7 +407,7 @@ func BenchmarkNSGA2Generation(b *testing.B) {
 }
 
 func defaultBenchParams() casestudy.Params {
-	n := casestudy.DefaultNodes
+	n := app.DefaultNodes
 	p := casestudy.Params{
 		BeaconOrder:     3,
 		SuperframeOrder: 2,

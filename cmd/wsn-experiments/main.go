@@ -27,6 +27,7 @@ import (
 	"io"
 	"os"
 	"os/signal"
+	"slices"
 	"strings"
 
 	"wsndse/internal/casestudy"
@@ -37,7 +38,7 @@ import (
 
 func main() {
 	var (
-		run        = flag.String("run", "all", "experiments: all | comma list of fig3,fig4,delay,speed,fig5,ablation,scenarios,calibrate")
+		run        = flag.String("run", "all", "experiments: all | comma list of "+strings.Join(experimentNames, ","))
 		delayRuns  = flag.Int("delay-runs", 130, "configurations for the delay validation (paper: 130)")
 		simDur     = flag.Float64("sim-duration", 30, "simulated seconds per delay-validation run")
 		pop        = flag.Int("pop", 96, "NSGA-II population for fig5")
@@ -63,15 +64,9 @@ func main() {
 	ctx, stopSignals := signal.NotifyContext(context.Background(), os.Interrupt)
 	defer stopSignals()
 
-	selected := map[string]bool{}
-	if *run == "all" {
-		for _, name := range []string{"fig3", "fig4", "delay", "speed", "fig5", "ablation", "scenarios"} {
-			selected[name] = true
-		}
-	} else {
-		for _, name := range strings.Split(*run, ",") {
-			selected[strings.TrimSpace(name)] = true
-		}
+	selected, err := parseRun(*run)
+	if err != nil {
+		fatalf("%v", err)
 	}
 
 	if selected["calibrate"] {
@@ -180,6 +175,30 @@ func main() {
 		stopProfiles()
 		os.Exit(130)
 	}
+}
+
+// experimentNames lists every -run name; all of them but calibrate make
+// up -run all.
+var experimentNames = []string{"fig3", "fig4", "delay", "speed", "fig5", "ablation", "scenarios", "calibrate"}
+
+// parseRun resolves the -run flag to the set of selected experiments. An
+// unknown name is an error that lists the valid ones.
+func parseRun(run string) (map[string]bool, error) {
+	selected := map[string]bool{}
+	if run == "all" {
+		for _, name := range experimentNames[:len(experimentNames)-1] {
+			selected[name] = true
+		}
+		return selected, nil
+	}
+	for _, name := range strings.Split(run, ",") {
+		name = strings.TrimSpace(name)
+		if !slices.Contains(experimentNames, name) {
+			return nil, fmt.Errorf("unknown experiment %q in -run (valid: all, %s)", name, strings.Join(experimentNames, ", "))
+		}
+		selected[name] = true
+	}
+	return selected, nil
 }
 
 // stopProfiles flushes any active -cpuprofile/-memprofile; fatalf runs it

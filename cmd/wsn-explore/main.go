@@ -104,11 +104,9 @@ func main() {
 	case "full":
 		eval = compiled.Evaluator()
 	case "baseline":
-		// The application-blind (energy, delay) view. For the case-study
-		// scenario this is numerically identical to the Fig. 5 baseline
-		// (baseline.New): both evaluate the same network and drop the
-		// quality objective.
-		eval = baseline.Project(compiled.Evaluator(), 0, 2)
+		// The application-blind (energy, delay) view: the Fig. 5
+		// baseline over this scenario.
+		eval = baseline.New(compiled)
 	default:
 		fail(fmt.Errorf("unknown objectives %q", *objectives))
 	}
@@ -124,10 +122,10 @@ func main() {
 	start := time.Now()
 	opts := dse.Options{Context: ctx}
 	if *progress {
-		opts.Progress = func(p dse.Progress) {
+		opts.Stats = func(st dse.Stats) {
 			fmt.Fprintf(os.Stderr, "%s %d/%d: front=%d evaluated=%d (%.3g evals/s)\n",
-				p.Algorithm, p.Step, p.TotalSteps, len(p.Front), p.Evaluated,
-				float64(p.Evaluated)/time.Since(start).Seconds())
+				st.Algorithm, st.Step, st.TotalSteps, len(st.Front), st.Evaluated,
+				float64(st.Evaluated)/time.Since(start).Seconds())
 		}
 	}
 	if *warmStart != "" {

@@ -14,6 +14,7 @@ import (
 	"fmt"
 	"os"
 
+	"wsndse/internal/app"
 	"wsndse/internal/casestudy"
 	"wsndse/internal/cliutil"
 	"wsndse/internal/core"
@@ -24,7 +25,7 @@ func main() {
 		bo      = flag.Int("bo", 3, "beacon order (BCO)")
 		so      = flag.Int("so", 2, "superframe order (SFO)")
 		payload = flag.Int("payload", 48, "MAC payload per frame, bytes")
-		nodes   = flag.Int("nodes", casestudy.DefaultNodes, "number of nodes (first half DWT, rest CS)")
+		nodes   = flag.Int("nodes", app.DefaultNodes, "number of nodes (first half DWT, rest CS)")
 		cr      = flag.String("cr", "0.23", "compression ratio: one value or per-node comma list")
 		fuc     = flag.String("fuc", "8M", "µC frequency: one value or per-node comma list (k/M suffixes)")
 		theta   = flag.Float64("theta", 0.5, "balance weight ϑ of the network metrics (Eq. 8)")

@@ -20,6 +20,7 @@ import (
 	"os"
 	"time"
 
+	"wsndse/internal/app"
 	"wsndse/internal/casestudy"
 	"wsndse/internal/cliutil"
 	"wsndse/internal/scenario"
@@ -36,7 +37,7 @@ func main() {
 		bo           = flag.Int("bo", 3, "beacon order (BCO)")
 		so           = flag.Int("so", 2, "superframe order (SFO)")
 		payload      = flag.Int("payload", 48, "MAC payload per frame, bytes")
-		nodes        = flag.Int("nodes", casestudy.DefaultNodes, "number of nodes (first half DWT, rest CS)")
+		nodes        = flag.Int("nodes", app.DefaultNodes, "number of nodes (first half DWT, rest CS)")
 		cr           = flag.String("cr", "0.23", "compression ratio: one value or per-node comma list")
 		fuc          = flag.String("fuc", "8M", "µC frequency: one value or per-node comma list")
 		duration     = flag.Float64("duration", 60, "simulated seconds")

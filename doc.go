@@ -70,8 +70,9 @@
 //
 // The analytical model's reason to exist is being orders of magnitude
 // faster than simulation, so the evaluation hot path is engineered to be
-// allocation-free. Compile() on casestudy.Problem and scenario.Problem
-// pre-builds lookup tables over the whole design space — the full
+// allocation-free. scenario.Problem.Compile() — the one compiled
+// pipeline, serving every scenario and the case study's grouped gene
+// layout alike — pre-builds lookup tables over the whole design space — the full
 // (BO × SFO gap × payload) MAC grid, per-node application instances per
 // CR grid index, per-node MAC views for payload-override nodes, and the
 // per (application, sample-rate) output rates and quality values — so
@@ -81,9 +82,9 @@
 // Node.EnergyWithRates, and the per-worker core.Workspace), and the batch
 // runtime's memo cache keys on a packed uint64 hash of the gene indices,
 // so steady-state evaluation performs zero heap allocations. Equivalence
-// tests assert the compiled evaluators return bit-identical objectives to
-// the reference evaluators for every registered scenario at worker counts
-// 1 and 8, and testing.AllocsPerRun regression tests pin the hot path at
+// tests assert the compiled evaluator returns bit-identical objectives to
+// the reference evaluator for every registered scenario, and for the
+// grouped layout, at worker counts 1 and 8, and testing.AllocsPerRun regression tests pin the hot path at
 // 0 allocs/op.
 //
 // The pipeline relies on the evaluator determinism/purity contract: an
@@ -123,8 +124,8 @@
 // dse.Options, all hooked at generation/segment/batch boundaries so the
 // allocation-free hot loops are untouched: cooperative cancellation
 // (context.Context; SIGINT in the CLIs flushes the partial front),
-// incremental progress (dse.ProgressSink receives step counters and front
-// snapshots), and checkpoint/resume (dse.Snapshot serializes the complete
+// boundary statistics (dse.StatsSink receives step counters, the live
+// front and memo-cache counters), and checkpoint/resume (dse.Snapshot serializes the complete
 // search state — population, archives, chain temperatures, and the RNG,
 // which draws from a SplitMix64 source precisely so its whole state is
 // one uint64). A run resumed from a snapshot replays the uninterrupted

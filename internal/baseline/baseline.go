@@ -15,39 +15,20 @@ package baseline
 import (
 	"fmt"
 
-	"wsndse/internal/casestudy"
 	"wsndse/internal/dse"
 )
 
-// Evaluator is the 2-objective (energy, delay) evaluator over the case
-// study's design space.
-type Evaluator struct {
-	p *casestudy.Problem
+// Model is anything that builds a full three-objective evaluator: a
+// scenario.Problem (the reference evaluator) or its scenario.Compiled
+// pipeline (bit-identical, allocation-free).
+type Model interface {
+	Evaluator() dse.Evaluator
 }
 
-// New wraps a case-study problem with the energy/delay-only view.
-func New(p *casestudy.Problem) *Evaluator {
-	return &Evaluator{p: p}
-}
-
-// NumObjectives returns 2.
-func (e *Evaluator) NumObjectives() int { return 2 }
-
-// Evaluate computes (E_net, delay_net), discarding application quality.
-func (e *Evaluator) Evaluate(c dse.Config) (dse.Objectives, error) {
-	params, err := e.p.Decode(c)
-	if err != nil {
-		return nil, err
-	}
-	net, err := params.Network(e.p.Cal, e.p.Theta)
-	if err != nil {
-		return nil, err
-	}
-	ev, err := net.Evaluate()
-	if err != nil {
-		return nil, err
-	}
-	return dse.Objectives{float64(ev.Energy), float64(ev.Delay)}, nil
+// New returns the energy/delay-only view of a model's design space: its
+// full evaluator with the quality objective dropped.
+func New(m Model) *Projection {
+	return Project(m.Evaluator(), 0, 2)
 }
 
 // Projection exposes a subset of a full evaluator's objectives — the
@@ -87,8 +68,8 @@ func (p *Projection) Evaluate(c dse.Config) (dse.Objectives, error) {
 // Lift re-evaluates a 2-objective front under the full 3-metric model so
 // it can be compared against the proposed model's front in the common
 // objective space (this is how Fig. 5 plots both sets on the same axes).
-func Lift(p *casestudy.Problem, front []dse.Point) ([]dse.Point, error) {
-	full := p.Evaluator()
+func Lift(m Model, front []dse.Point) ([]dse.Point, error) {
+	full := m.Evaluator()
 	out := make([]dse.Point, 0, len(front))
 	for _, pt := range front {
 		objs, err := full.Evaluate(pt.Config)

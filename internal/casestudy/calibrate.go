@@ -1,18 +1,25 @@
-// Package casestudy wires the library into the paper's §4 case study: a
-// hospital WBSN of six ECG nodes — three compressing with the discrete
-// wavelet transform, three with compressed sensing — on Shimmer-class
-// hardware under the beacon-enabled IEEE 802.15.4 MAC.
+// Package casestudy holds what is specific to the paper's §4 case study —
+// a hospital WBSN of six ECG nodes, three compressing with the discrete
+// wavelet transform and three with compressed sensing, on Shimmer-class
+// hardware under the beacon-enabled IEEE 802.15.4 MAC: the calibration,
+// the paper's defaults, and the §5 gene layout.
 //
-// It owns the calibration step that the paper performs against measured
-// data (§4.3): running the actual codecs over an ECG corpus to obtain the
+// Calibration is the step the paper performs against measured data
+// (§4.3): running the actual codecs over an ECG corpus to obtain the
 // per-application PRD-vs-CR points, then fitting the fifth-order
 // polynomials P₅(CR) the analytical model uses as its quality estimator
-// e(φ_in, χ_node).
+// e(φ_in, χ_node). DefaultCalibration is its shipped output.
+//
+// The model itself is the ecg-ward scenario: NewProblem returns it as a
+// scenario.Problem in the paper's grouped gene layout, and Params is a
+// hand-picked configuration of the same network for the single-point
+// tools (Fig. 3, wsn-model, wsn-sim).
 package casestudy
 
 import (
 	"fmt"
 
+	"wsndse/internal/app"
 	"wsndse/internal/cs"
 	"wsndse/internal/dwt"
 	"wsndse/internal/ecg"
@@ -20,17 +27,12 @@ import (
 	"wsndse/internal/quality"
 )
 
-// CRGrid is the compression-ratio grid of the paper's Figures 3–4.
-func CRGrid() []float64 {
-	return []float64{0.17, 0.20, 0.23, 0.26, 0.29, 0.32, 0.35, 0.38}
-}
-
 // CalibrationConfig parameterizes a calibration run.
 type CalibrationConfig struct {
 	Blocks       int       // ECG corpus size in blocks (default 8)
 	BlockSamples int       // samples per block (default 512)
 	Seed         int64     // ECG generator / CS matrix seed (default 1)
-	CRs          []float64 // CR grid (default CRGrid())
+	CRs          []float64 // CR grid (default app.CRGrid())
 	PolyDegree   int       // fit degree (default 5, per the paper)
 }
 
@@ -45,7 +47,7 @@ func (c CalibrationConfig) withDefaults() CalibrationConfig {
 		c.Seed = 1
 	}
 	if c.CRs == nil {
-		c.CRs = CRGrid()
+		c.CRs = app.CRGrid()
 	}
 	if c.PolyDegree == 0 {
 		c.PolyDegree = 5
@@ -53,26 +55,9 @@ func (c CalibrationConfig) withDefaults() CalibrationConfig {
 	return c
 }
 
-// Calibration holds the fitted quality estimators together with the
-// measurements they were fit from, so estimation errors (Fig. 4) can be
-// recomputed at any time.
-type Calibration struct {
-	CRs []float64
-
-	// DWTMeasured and CSMeasured are the corpus-mean PRDs at each CR,
-	// obtained by actually compressing and reconstructing the signals.
-	DWTMeasured []float64
-	CSMeasured  []float64
-
-	// DWTPoly and CSPoly are the paper's P₅ estimators fit to the
-	// measurements.
-	DWTPoly numeric.Poly
-	CSPoly  numeric.Poly
-}
-
 // Calibrate runs both codecs over a synthetic ECG corpus and fits the
 // quality polynomials.
-func Calibrate(cfg CalibrationConfig) (*Calibration, error) {
+func Calibrate(cfg CalibrationConfig) (*app.Calibration, error) {
 	cfg = cfg.withDefaults()
 	if len(cfg.CRs) <= cfg.PolyDegree {
 		return nil, fmt.Errorf("casestudy: %d CR points cannot support a degree-%d fit",
@@ -99,7 +84,7 @@ func Calibrate(cfg CalibrationConfig) (*Calibration, error) {
 	dwtCodec := dwt.NewCodec(wavelet, levels)
 	csCodec := cs.NewCodec(cfg.BlockSamples, wavelet, levels, cfg.Seed)
 
-	cal := &Calibration{CRs: append([]float64(nil), cfg.CRs...)}
+	cal := &app.Calibration{CRs: append([]float64(nil), cfg.CRs...)}
 	for _, cr := range cfg.CRs {
 		var dwtSum, csSum float64
 		for _, block := range corpus {
@@ -144,23 +129,4 @@ func Calibrate(cfg CalibrationConfig) (*Calibration, error) {
 		return nil, fmt.Errorf("casestudy: CS fit: %w", err)
 	}
 	return cal, nil
-}
-
-// EstimationErrors returns the mean absolute error of each polynomial
-// against its calibration measurements, in PRD percentage points — the
-// quantity Fig. 4's caption reports (0.46 % DWT, 0.92 % CS in the paper).
-func (c *Calibration) EstimationErrors() (dwtErr, csErr float64) {
-	for i, cr := range c.CRs {
-		dwtErr += abs(c.DWTPoly.Eval(cr) - c.DWTMeasured[i])
-		csErr += abs(c.CSPoly.Eval(cr) - c.CSMeasured[i])
-	}
-	n := float64(len(c.CRs))
-	return dwtErr / n, csErr / n
-}
-
-func abs(x float64) float64 {
-	if x < 0 {
-		return -x
-	}
-	return x
 }

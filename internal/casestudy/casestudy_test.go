@@ -3,8 +3,10 @@ package casestudy
 import (
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 
+	"wsndse/internal/app"
 	"wsndse/internal/core"
 	"wsndse/internal/dse"
 	"wsndse/internal/units"
@@ -78,7 +80,7 @@ func TestCalibrateValidation(t *testing.T) {
 }
 
 func defaultParams() Params {
-	n := DefaultNodes
+	n := app.DefaultNodes
 	p := Params{
 		BeaconOrder:     3,
 		SuperframeOrder: 2,
@@ -99,7 +101,7 @@ func TestParamsNetworkEvaluates(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(net.Nodes) != DefaultNodes {
+	if len(net.Nodes) != app.DefaultNodes {
 		t.Fatalf("%d nodes", len(net.Nodes))
 	}
 	// Half DWT, half CS.
@@ -183,8 +185,15 @@ func TestProblemSpace(t *testing.T) {
 	if s.Size() < 1e7 {
 		t.Errorf("space size %.3g, want > 10⁷", s.Size())
 	}
-	if len(s.Params) != 3+2*DefaultNodes {
-		t.Errorf("%d genes", len(s.Params))
+	// The §5 layout: BO, SFO gap, payload, then every node's CR, then
+	// every node's f_µC.
+	if len(s.Params) != 3+2*app.DefaultNodes {
+		t.Fatalf("%d genes", len(s.Params))
+	}
+	for i := 0; i < app.DefaultNodes; i++ {
+		if cr, f := s.Params[3+i].Name, s.Params[3+app.DefaultNodes+i].Name; !strings.HasPrefix(cr, "cr:") || !strings.HasPrefix(f, "fuc:") {
+			t.Errorf("node %d genes %q, %q out of the grouped layout", i, cr, f)
+		}
 	}
 }
 
@@ -197,8 +206,8 @@ func TestProblemDecode(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := params.Validate(); err != nil {
-			t.Errorf("decoded params invalid: %v", err)
+		if len(params.CR) != app.DefaultNodes || len(params.MicroFreq) != app.DefaultNodes {
+			t.Errorf("decoded %d CRs, %d frequencies", len(params.CR), len(params.MicroFreq))
 		}
 		if params.SuperframeOrder > params.BeaconOrder || params.SuperframeOrder < 0 {
 			t.Errorf("SFO %d out of range for BO %d", params.SuperframeOrder, params.BeaconOrder)
@@ -244,12 +253,14 @@ func TestProblemEvaluator(t *testing.T) {
 	}
 }
 
+// TestKindString pins the case study's node names and kind split: three
+// DWT nodes, then three CS nodes (§4.1).
 func TestKindString(t *testing.T) {
-	if KindDWT.String() != "dwt" || KindCS.String() != "cs" {
+	if app.KindDWT.String() != "dwt" || app.KindCS.String() != "cs" {
 		t.Error("kind names")
 	}
-	kinds := DefaultKinds(6)
-	if kinds[0] != KindDWT || kinds[2] != KindDWT || kinds[3] != KindCS || kinds[5] != KindCS {
+	kinds := app.DefaultKinds(app.DefaultNodes)
+	if kinds[0] != app.KindDWT || kinds[2] != app.KindDWT || kinds[3] != app.KindCS || kinds[5] != app.KindCS {
 		t.Errorf("kind split: %v", kinds)
 	}
 }

@@ -1,6 +1,9 @@
 package casestudy
 
-import "wsndse/internal/numeric"
+import (
+	"wsndse/internal/app"
+	"wsndse/internal/numeric"
+)
 
 // DefaultCalibration returns the calibration shipped with the library: the
 // output of Calibrate(CalibrationConfig{}) — 8 blocks of 512 samples,
@@ -11,9 +14,9 @@ import "wsndse/internal/numeric"
 // The measured points exhibit the Figure 4 structure: both PRDs decrease
 // monotonically with CR, and compressed sensing pays a substantially
 // higher reconstruction error than the wavelet transform at every rate.
-func DefaultCalibration() *Calibration {
-	return &Calibration{
-		CRs: CRGrid(),
+func DefaultCalibration() *app.Calibration {
+	return &app.Calibration{
+		CRs: app.CRGrid(),
 		DWTMeasured: []float64{
 			16.2136, 9.6258, 6.7481, 5.3038, 4.4718, 3.9511, 3.5797, 3.2579,
 		},

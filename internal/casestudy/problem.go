@@ -5,76 +5,20 @@ import (
 
 	"wsndse/internal/app"
 	"wsndse/internal/core"
-	"wsndse/internal/dse"
 	ieee "wsndse/internal/ieee802154"
-	"wsndse/internal/platform"
+	"wsndse/internal/scenario"
 	"wsndse/internal/sim"
 	"wsndse/internal/units"
 )
 
-// DefaultNodes is the case study's network size (§4.1: N = 6 patients).
-const DefaultNodes = 6
-
-// SampleRate is the ECG sampling frequency fixed by the signal (§4.3).
-const SampleRate units.Hertz = 250
-
-// Kind labels a node's application.
-type Kind int
-
-// Node kinds. The case study splits the network half and half between the
-// two compressors; KindRaw (an uncompressed passthrough stream) exists for
-// heterogeneous scenarios beyond the paper's §4 network.
-const (
-	KindDWT Kind = iota
-	KindCS
-	KindRaw
-)
-
-// String names the kind.
-func (k Kind) String() string {
-	switch k {
-	case KindDWT:
-		return "dwt"
-	case KindCS:
-		return "cs"
-	case KindRaw:
-		return "raw"
-	default:
-		return fmt.Sprintf("Kind(%d)", int(k))
-	}
-}
-
-// DefaultKinds assigns the first half of the nodes to DWT and the rest to
-// CS, as in §4.1.
-func DefaultKinds(n int) []Kind {
-	kinds := make([]Kind, n)
-	for i := range kinds {
-		if i >= n/2 {
-			kinds[i] = KindCS
-		}
-	}
-	return kinds
-}
-
 // Params is one complete configuration χ = (χ_mac, χ_node⁽¹⁾…χ_node⁽ᴺ⁾) of
-// the case study.
+// the case study. Node i runs app.DefaultKinds(N)[i].
 type Params struct {
 	BeaconOrder     int           // BCO
 	SuperframeOrder int           // SFO
 	PayloadBytes    int           // L_payload
 	CR              []float64     // per node
 	MicroFreq       []units.Hertz // per node
-	// Kinds optionally assigns each node its application kind; nil keeps
-	// the paper's half-DWT/half-CS split (DefaultKinds).
-	Kinds []Kind
-}
-
-// kinds resolves the per-node application assignment.
-func (p Params) kinds() []Kind {
-	if p.Kinds != nil {
-		return p.Kinds
-	}
-	return DefaultKinds(len(p.CR))
 }
 
 // Validate checks structural consistency (not feasibility).
@@ -82,211 +26,64 @@ func (p Params) Validate() error {
 	if len(p.CR) == 0 || len(p.CR) != len(p.MicroFreq) {
 		return fmt.Errorf("casestudy: %d CRs vs %d frequencies", len(p.CR), len(p.MicroFreq))
 	}
-	if p.Kinds != nil && len(p.Kinds) != len(p.CR) {
-		return fmt.Errorf("casestudy: %d kinds vs %d nodes", len(p.Kinds), len(p.CR))
-	}
 	sf := ieee.SuperframeConfig{BeaconOrder: p.BeaconOrder, SuperframeOrder: p.SuperframeOrder}
 	return sf.Validate()
 }
 
 // Network materializes the configuration as a core.Network over the given
-// calibration. Node i's application kind follows Kinds, defaulting to the
-// paper's DefaultKinds split.
-func (p Params) Network(cal *Calibration, theta float64) (*core.Network, error) {
-	if err := p.Validate(); err != nil {
-		return nil, err
-	}
-	n := len(p.CR)
-	kinds := p.kinds()
-	mac, err := core.NewGTSMac(ieee.SuperframeConfig{
-		BeaconOrder:     p.BeaconOrder,
-		SuperframeOrder: p.SuperframeOrder,
-	}, p.PayloadBytes, n)
+// calibration, with the paper's half-DWT/half-CS split.
+func (p Params) Network(cal *app.Calibration, theta float64) (*core.Network, error) {
+	problem, params, err := p.model(cal, theta)
 	if err != nil {
 		return nil, err
 	}
-	nodes := make([]*core.Node, n)
-	for i := 0; i < n; i++ {
-		a, err := AppFor(cal, kinds[i], p.CR[i])
-		if err != nil {
-			return nil, err
-		}
-		nodes[i] = &core.Node{
-			Name:       fmt.Sprintf("%s-%d", kinds[i], i),
-			Platform:   platform.Shimmer(),
-			App:        a,
-			SampleFreq: SampleRate,
-			MicroFreq:  p.MicroFreq[i],
-		}
-	}
-	return &core.Network{Nodes: nodes, MAC: mac, Theta: theta}, nil
+	return problem.Network(params)
 }
 
 // SimConfig materializes the same configuration for the packet-level
 // simulator, with GTS allocations mirroring the model's assignment.
-func (p Params) SimConfig(cal *Calibration, duration units.Seconds, seed int64) (sim.Config, error) {
-	net, err := p.Network(cal, 0)
+func (p Params) SimConfig(cal *app.Calibration, duration units.Seconds, seed int64) (sim.Config, error) {
+	problem, params, err := p.model(cal, 0)
 	if err != nil {
 		return sim.Config{}, err
 	}
-	sf := ieee.SuperframeConfig{BeaconOrder: p.BeaconOrder, SuperframeOrder: p.SuperframeOrder}
-	nodes := make([]sim.NodeConfig, len(net.Nodes))
-	for i, n := range net.Nodes {
-		nodes[i] = sim.NodeConfig{
-			Name:       n.Name,
-			Platform:   n.Platform,
-			App:        n.App,
-			SampleFreq: n.SampleFreq,
-			MicroFreq:  n.MicroFreq,
-			Slots:      sim.SlotsFor(sf, p.PayloadBytes, float64(n.OutputRate())),
-		}
-	}
-	return sim.Config{
-		Superframe:   sf,
-		PayloadBytes: p.PayloadBytes,
-		Nodes:        nodes,
-		Duration:     duration,
-		Seed:         seed,
-	}, nil
+	return problem.SimConfig(params, duration, seed)
 }
 
-// AppFor builds the application for one node kind: the calibrated DWT or
-// CS compressor at the given compression ratio, or the lossless
-// passthrough for raw-streaming nodes (whose CR is ignored — they always
-// forward at CR 1).
-func AppFor(cal *Calibration, kind Kind, cr float64) (app.Application, error) {
-	switch kind {
-	case KindDWT:
-		return app.NewCompression(app.DWTProfile(), cr, cal.DWTPoly)
-	case KindCS:
-		return app.NewCompression(app.CSProfile(), cr, cal.CSPoly)
-	case KindRaw:
-		return app.Passthrough{}, nil
-	default:
-		return nil, fmt.Errorf("casestudy: unknown kind %d", kind)
+// model returns the configuration's network as the ecg-ward scenario
+// resized to len(p.CR) nodes at balance weight theta, together with p in
+// that scenario's terms.
+func (p Params) model(cal *app.Calibration, theta float64) (*scenario.Problem, scenario.Params, error) {
+	params := scenario.Params{
+		BeaconOrder:     p.BeaconOrder,
+		SuperframeOrder: p.SuperframeOrder,
+		PayloadBytes:    p.PayloadBytes,
+		CR:              p.CR,
+		MicroFreq:       p.MicroFreq,
 	}
+	if err := p.Validate(); err != nil {
+		return nil, params, err
+	}
+	sc := scenario.ECGWard()
+	node := sc.Nodes[0]
+	sc.Nodes = make([]scenario.NodeSpec, len(p.CR))
+	for i, kind := range app.DefaultKinds(len(p.CR)) {
+		node.Name, node.Kind = fmt.Sprintf("%s-%d", kind, i), kind
+		sc.Nodes[i] = node
+	}
+	sc.Theta = theta
+	problem, err := scenario.NewProblem(sc, cal)
+	return problem, params, err
 }
 
-// Problem is the DSE formulation of the case study: the design space over
-// χ_mac and the per-node χ_node, and the model-based evaluators.
-type Problem struct {
-	Cal   *Calibration
-	Nodes int
-	Theta float64
-
-	// Space axes.
-	BeaconOrders []int
-	SFOGaps      []int // SFO = BO − gap, clamped at 0
-	Payloads     []int
-	CRs          []float64
-	MicroFreqs   []units.Hertz
-
-	space *dse.Space
-}
-
-// NewProblem builds the default problem: the §4.1 network with the space
-// whose size exceeds the paper's "tens of millions of configurations".
-func NewProblem(cal *Calibration) *Problem {
-	p := &Problem{
-		Cal:          cal,
-		Nodes:        DefaultNodes,
-		Theta:        0.5,
-		BeaconOrders: []int{1, 2, 3, 4, 5, 6},
-		SFOGaps:      []int{0, 1, 2, 3},
-		Payloads:     []int{32, 48, 64, 80, 102},
-		CRs:          CRGrid(),
-		MicroFreqs:   platform.Shimmer().MicroFreqs,
+// NewProblem returns the DSE formulation of the case study: the ecg-ward
+// scenario in the paper's §5 gene layout (BO, SFO gap, payload, then every
+// node's CR, then every node's f_µC), whose space exceeds the paper's
+// "tens of millions of configurations". It panics on a nil calibration.
+func NewProblem(cal *app.Calibration) *scenario.Problem {
+	p, err := scenario.NewGroupedProblem(scenario.ECGWard(), cal)
+	if err != nil {
+		panic(err)
 	}
-	p.space = p.buildSpace()
 	return p
-}
-
-// buildSpace lays the genes out as:
-//
-//	0: beacon order, 1: SFO gap, 2: payload,
-//	3…3+N−1: per-node CR, 3+N…3+2N−1: per-node f_µC.
-func (p *Problem) buildSpace() *dse.Space {
-	s := &dse.Space{}
-	s.Params = append(s.Params,
-		dse.Parameter{Name: "BO", Values: intsToFloats(p.BeaconOrders)},
-		dse.Parameter{Name: "SFOgap", Values: intsToFloats(p.SFOGaps)},
-		dse.Parameter{Name: "payload", Values: intsToFloats(p.Payloads)},
-	)
-	crVals := append([]float64(nil), p.CRs...)
-	fVals := make([]float64, len(p.MicroFreqs))
-	for i, f := range p.MicroFreqs {
-		fVals[i] = float64(f)
-	}
-	for i := 0; i < p.Nodes; i++ {
-		s.Params = append(s.Params, dse.Parameter{
-			Name: fmt.Sprintf("cr%d", i), Values: crVals,
-		})
-	}
-	for i := 0; i < p.Nodes; i++ {
-		s.Params = append(s.Params, dse.Parameter{
-			Name: fmt.Sprintf("fuc%d", i), Values: fVals,
-		})
-	}
-	return s
-}
-
-// Space returns the design space.
-func (p *Problem) Space() *dse.Space { return p.space }
-
-// Decode maps a configuration to case-study parameters. The SFO gene is
-// relative (SFO = BO − gap, floored at 0) so every index combination is
-// structurally valid.
-func (p *Problem) Decode(c dse.Config) (Params, error) {
-	if !p.space.Valid(c) {
-		return Params{}, fmt.Errorf("casestudy: invalid config %v", c)
-	}
-	sf := ieee.SuperframeWithGap(int(p.space.Value(c, 0)), int(p.space.Value(c, 1)))
-	out := Params{
-		BeaconOrder:     sf.BeaconOrder,
-		SuperframeOrder: sf.SuperframeOrder,
-		PayloadBytes:    int(p.space.Value(c, 2)),
-		CR:              make([]float64, p.Nodes),
-		MicroFreq:       make([]units.Hertz, p.Nodes),
-	}
-	for i := 0; i < p.Nodes; i++ {
-		out.CR[i] = p.space.Value(c, 3+i)
-		out.MicroFreq[i] = units.Hertz(p.space.Value(c, 3+p.Nodes+i))
-	}
-	return out, nil
-}
-
-// evaluator is the 3-objective (energy, quality, delay) model evaluator of
-// §3.4 — the one that exposes the full tradeoff space of Fig. 5.
-type evaluator struct{ p *Problem }
-
-// Evaluator returns the proposed model's evaluator: minimize
-// (E_net [W], PRD_net [%], delay_net [s]).
-func (p *Problem) Evaluator() dse.Evaluator { return &evaluator{p: p} }
-
-// NumObjectives returns 3.
-func (e *evaluator) NumObjectives() int { return 3 }
-
-// Evaluate runs the analytical model on the decoded configuration.
-func (e *evaluator) Evaluate(c dse.Config) (dse.Objectives, error) {
-	params, err := e.p.Decode(c)
-	if err != nil {
-		return nil, err
-	}
-	net, err := params.Network(e.p.Cal, e.p.Theta)
-	if err != nil {
-		return nil, err
-	}
-	ev, err := net.Evaluate()
-	if err != nil {
-		return nil, err
-	}
-	return dse.Objectives{float64(ev.Energy), ev.Quality, float64(ev.Delay)}, nil
-}
-
-func intsToFloats(xs []int) []float64 {
-	out := make([]float64, len(xs))
-	for i, x := range xs {
-		out[i] = float64(x)
-	}
-	return out
 }

@@ -6,50 +6,31 @@ import (
 	"fmt"
 )
 
-// Progress is one search-boundary snapshot, delivered to a ProgressSink.
-// The unit of Step depends on the algorithm: NSGA-II counts completed
+// Stats is one search-boundary snapshot, delivered to a StatsSink. The
+// unit of Step depends on the algorithm: NSGA-II counts completed
 // generations, MOSA completed chain segments, Exhaustive and RandomSearch
-// completed evaluation batches. Front is a fresh slice whose Points share
-// the run's immutable Config/Objs storage — safe to read from any
-// goroutine, not to mutate.
-type Progress struct {
-	Algorithm  string
-	Step       int // boundaries completed so far
-	TotalSteps int // boundaries the full run will reach
-	Evaluated  int // distinct configurations evaluated so far
-	Infeasible int // of those, constraint violations
-	Front      []Point
-}
-
-// ProgressSink receives Progress snapshots at search boundaries. Sinks run
-// synchronously on the search goroutine between generations/segments —
-// never inside the allocation-free hot loops — so a slow sink slows the
-// search but cannot corrupt it. A nil sink costs nothing.
-type ProgressSink func(Progress)
-
-// Stats is one boundary-level search-health snapshot, delivered to a
-// StatsSink. It is the zero-copy sibling of Progress, built for
-// telemetry samplers that fire every boundary: Front is the archive's
-// own sorted storage — valid only for the duration of the call and
-// strictly read-only — so emitting a Stats allocates nothing on the
+// completed evaluation batches. Front is the archive's own sorted
+// storage — valid only for the duration of the call and strictly
+// read-only — so emitting a Stats allocates nothing on the
 // NSGA-II/exhaustive/random paths. CacheHits/CacheLookups expose the
 // memo cache (lookups = hits + distinct evaluations), the signal that
 // tells an operator whether a search is still discovering or mostly
 // revisiting.
 type Stats struct {
 	Algorithm    string
-	Step         int // boundaries completed so far
-	TotalSteps   int
-	Evaluated    int // distinct configurations evaluated so far
-	Infeasible   int
+	Step         int     // boundaries completed so far
+	TotalSteps   int     // boundaries the full run will reach
+	Evaluated    int     // distinct configurations evaluated so far
+	Infeasible   int     // of those, constraint violations
 	Front        []Point // shared storage — do not retain or mutate
 	CacheHits    int64   // memo-cache hits so far
 	CacheLookups int64   // memo-cache lookups so far
 }
 
-// StatsSink receives Stats at every search boundary. Like ProgressSink
-// it runs synchronously on the search goroutine, outside the
-// allocation-free hot loops; a nil sink costs nothing. Sinks that need
+// StatsSink receives Stats at every search boundary. Sinks run
+// synchronously on the search goroutine between generations/segments —
+// never inside the allocation-free hot loops — so a slow sink slows the
+// search but cannot corrupt it. A nil sink costs nothing. Sinks that need
 // the front beyond the call must copy it.
 type StatsSink func(Stats)
 
@@ -70,13 +51,8 @@ type Options struct {
 	// never cancelled.
 	Context context.Context
 
-	// Progress, when non-nil, is invoked at every boundary.
-	Progress ProgressSink
-
-	// Stats, when non-nil, is invoked at every boundary with the
-	// telemetry view: counters, the live front (zero-copy) and memo-cache
-	// hit rates. It exists so observability never pays for the Progress
-	// sink's defensive front copy.
+	// Stats, when non-nil, is invoked at every boundary with counters,
+	// the live front (zero-copy) and memo-cache hit rates.
 	Stats StatsSink
 
 	// Checkpoint, when non-nil and CheckpointEvery > 0, is invoked with a
@@ -163,41 +139,27 @@ func (o Options) validSeeds(space *Space, max int) []Config {
 	return out
 }
 
-// boundary is the shared per-boundary bookkeeping: emit progress and
-// stats, write a due checkpoint, honor StopAfter, then honor
+// boundary is the shared per-boundary bookkeeping: emit stats, write a
+// due checkpoint, honor StopAfter, then honor
 // cancellation — in that order, so a cancelled run's latest checkpoint
 // is already durable when the partial result comes back, and a paused
 // run's snapshot is written before ErrPaused surfaces. step is 1-based
 // (boundaries completed); live returns the archive's shared point slice
-// (materialized once, only when a sink is attached — Progress copies it,
-// Stats reads it in place), and snap builds the snapshot lazily and only
-// when one is due.
+// (materialized only when a sink is attached), and snap builds the
+// snapshot lazily and only when one is due.
 func (o Options) boundary(algo string, step, total, evaluated, infeasible int, pe *ParallelEvaluator, live func() []Point, snap func() *Snapshot) error {
-	if o.Progress != nil || o.Stats != nil {
-		front := live()
-		if o.Progress != nil {
-			o.Progress(Progress{
-				Algorithm:  algo,
-				Step:       step,
-				TotalSteps: total,
-				Evaluated:  evaluated,
-				Infeasible: infeasible,
-				Front:      append([]Point(nil), front...),
-			})
-		}
-		if o.Stats != nil {
-			lookups, hits := pe.CacheStats()
-			o.Stats(Stats{
-				Algorithm:    algo,
-				Step:         step,
-				TotalSteps:   total,
-				Evaluated:    evaluated,
-				Infeasible:   infeasible,
-				Front:        front,
-				CacheHits:    hits,
-				CacheLookups: lookups,
-			})
-		}
+	if o.Stats != nil {
+		lookups, hits := pe.CacheStats()
+		o.Stats(Stats{
+			Algorithm:    algo,
+			Step:         step,
+			TotalSteps:   total,
+			Evaluated:    evaluated,
+			Infeasible:   infeasible,
+			Front:        live(),
+			CacheHits:    hits,
+			CacheLookups: lookups,
+		})
 	}
 	pause := o.StopAfter > 0 && step >= o.StopAfter && step < total
 	if o.Checkpoint != nil {

@@ -132,43 +132,6 @@ func TestResumeMatchesUninterrupted(t *testing.T) {
 	}
 }
 
-// TestProgressSinkCadence checks the sink fires exactly once per
-// generation with monotonically growing coverage and a final step equal to
-// TotalSteps.
-func TestProgressSinkCadence(t *testing.T) {
-	s := testSpace(8, 3)
-	eval := &convexEvaluator{space: s}
-	var steps []int
-	var lastEval int
-	opts := Options{Progress: func(p Progress) {
-		if p.Algorithm != "nsga2" {
-			t.Errorf("progress algorithm %q", p.Algorithm)
-		}
-		if p.TotalSteps != 10 {
-			t.Errorf("TotalSteps=%d, want 10", p.TotalSteps)
-		}
-		if p.Evaluated < lastEval {
-			t.Errorf("Evaluated went backwards: %d after %d", p.Evaluated, lastEval)
-		}
-		if len(p.Front) == 0 {
-			t.Error("empty front snapshot on a feasible space")
-		}
-		lastEval = p.Evaluated
-		steps = append(steps, p.Step)
-	}}
-	if _, err := NSGA2Opts(s, eval, NSGA2Config{PopulationSize: 8, Generations: 10, Seed: 3}, opts); err != nil {
-		t.Fatal(err)
-	}
-	if len(steps) != 10 {
-		t.Fatalf("sink fired %d times, want 10", len(steps))
-	}
-	for i, st := range steps {
-		if st != i+1 {
-			t.Fatalf("steps %v not consecutive", steps)
-		}
-	}
-}
-
 // TestOptionsZeroValueIdentical pins that the Options plumbing itself does
 // not perturb results: the option-free entry points and Opts with zero
 // Options are bit-identical, counts included.
@@ -180,7 +143,7 @@ func TestOptionsZeroValueIdentical(t *testing.T) {
 		t.Fatal(err)
 	}
 	b, err := NSGA2Opts(s, eval, NSGA2Config{PopulationSize: 16, Generations: 10, Seed: 4},
-		Options{Context: context.Background(), Progress: func(Progress) {}})
+		Options{Context: context.Background(), Stats: func(Stats) {}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -191,7 +154,7 @@ func TestOptionsZeroValueIdentical(t *testing.T) {
 		t.Fatal(err)
 	}
 	bm, err := MOSAOpts(s, eval, MOSAConfig{Iterations: 2000, Seed: 4},
-		Options{Context: context.Background(), Progress: func(Progress) {}})
+		Options{Context: context.Background(), Stats: func(Stats) {}})
 	if err != nil {
 		t.Fatal(err)
 	}

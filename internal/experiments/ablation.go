@@ -4,16 +4,18 @@ import (
 	"fmt"
 	"math/rand"
 
+	"wsndse/internal/app"
 	"wsndse/internal/casestudy"
 	"wsndse/internal/dse"
 	"wsndse/internal/numeric"
+	"wsndse/internal/scenario"
 	"wsndse/internal/sim"
 	"wsndse/internal/units"
 )
 
 // ThetaAblationConfig parameterizes the balance-weight ablation.
 type ThetaAblationConfig struct {
-	Cal            *casestudy.Calibration
+	Cal            *app.Calibration
 	Thetas         []float64
 	PopulationSize int
 	Generations    int
@@ -65,9 +67,17 @@ func ThetaAblation(cfg ThetaAblationConfig) (*ThetaAblationResult, error) {
 	cfg = cfg.withDefaults()
 	res := &ThetaAblationResult{}
 	for _, theta := range cfg.Thetas {
-		problem := casestudy.NewProblem(cfg.Cal)
-		problem.Theta = theta
-		search, err := dse.NSGA2(problem.Space(), problem.Evaluator(), dse.NSGA2Config{
+		sc := scenario.ECGWard()
+		sc.Theta = theta
+		problem, err := scenario.NewGroupedProblem(sc, cfg.Cal)
+		if err != nil {
+			return nil, err
+		}
+		compiled, err := problem.Compile()
+		if err != nil {
+			return nil, err
+		}
+		search, err := dse.NSGA2(problem.Space(), compiled.Evaluator(), dse.NSGA2Config{
 			PopulationSize: cfg.PopulationSize,
 			Generations:    cfg.Generations,
 			Seed:           cfg.Seed,
@@ -82,7 +92,7 @@ func ThetaAblation(cfg ThetaAblationConfig) (*ThetaAblationResult, error) {
 			if err != nil {
 				return nil, err
 			}
-			net, err := params.Network(cfg.Cal, theta)
+			net, err := problem.Network(params)
 			if err != nil {
 				return nil, err
 			}
@@ -134,7 +144,7 @@ func (r *ThetaAblationResult) Check() error {
 
 // ArrivalAblationConfig parameterizes the Eq. 9 assumption ablation.
 type ArrivalAblationConfig struct {
-	Cal         *casestudy.Calibration
+	Cal         *app.Calibration
 	Runs        int
 	SimDuration units.Seconds
 	Seed        int64
@@ -175,25 +185,20 @@ type ArrivalAblationResult struct {
 func ArrivalAblation(cfg ArrivalAblationConfig) (*ArrivalAblationResult, error) {
 	cfg = cfg.withDefaults()
 	problem := casestudy.NewProblem(cfg.Cal)
-	eval := problem.Evaluator()
+	compiled, err := problem.Compile()
+	if err != nil {
+		return nil, err
+	}
+	eval := compiled.Evaluator()
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	res := &ArrivalAblationResult{}
 
 	for run := 0; run < cfg.Runs; run++ {
-		var params casestudy.Params
-		for {
-			c := problem.Space().Random(rng)
-			if _, err := eval.Evaluate(c); err != nil {
-				continue
-			}
-			var err error
-			params, err = problem.Decode(c)
-			if err != nil {
-				return nil, err
-			}
-			break
+		_, params, err := feasibleParams(problem, eval, rng)
+		if err != nil {
+			return nil, err
 		}
-		net, err := params.Network(cfg.Cal, 0)
+		net, err := problem.Network(params)
 		if err != nil {
 			return nil, err
 		}
@@ -202,7 +207,7 @@ func ArrivalAblation(cfg ArrivalAblationConfig) (*ArrivalAblationResult, error) 
 			return nil, err
 		}
 		for _, arrival := range []sim.ArrivalModel{sim.ArrivalUniform, sim.ArrivalBlock} {
-			simCfg, err := params.SimConfig(cfg.Cal, cfg.SimDuration, cfg.Seed+int64(run))
+			simCfg, err := problem.SimConfig(params, cfg.SimDuration, cfg.Seed+int64(run))
 			if err != nil {
 				return nil, err
 			}

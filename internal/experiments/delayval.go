@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 
+	"wsndse/internal/app"
 	"wsndse/internal/casestudy"
 	"wsndse/internal/numeric"
 	"wsndse/internal/units"
@@ -12,7 +13,7 @@ import (
 // DelayValConfig parameterizes the Eq. 9 validation (§5.1: 130 simulations
 // with realistic φ_out's and χ_mac's).
 type DelayValConfig struct {
-	Cal         *casestudy.Calibration
+	Cal         *app.Calibration
 	Runs        int // feasible configurations to simulate (default 130)
 	SimDuration units.Seconds
 	Seed        int64
@@ -65,28 +66,21 @@ type DelayValResult struct {
 func DelayVal(cfg DelayValConfig) (*DelayValResult, error) {
 	cfg = cfg.withDefaults()
 	problem := casestudy.NewProblem(cfg.Cal)
-	eval := problem.Evaluator()
+	compiled, err := problem.Compile()
+	if err != nil {
+		return nil, err
+	}
+	eval := compiled.Evaluator()
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	res := &DelayValResult{}
 
 	var overs []float64
 	for run := 0; run < cfg.Runs; run++ {
-		// Rejection-sample a feasible configuration.
-		var params casestudy.Params
-		for {
-			c := problem.Space().Random(rng)
-			if _, err := eval.Evaluate(c); err != nil {
-				continue
-			}
-			var err error
-			params, err = problem.Decode(c)
-			if err != nil {
-				return nil, err
-			}
-			break
+		_, params, err := feasibleParams(problem, eval, rng)
+		if err != nil {
+			return nil, err
 		}
-
-		net, err := params.Network(cfg.Cal, 0)
+		net, err := problem.Network(params)
 		if err != nil {
 			return nil, err
 		}
@@ -94,7 +88,7 @@ func DelayVal(cfg DelayValConfig) (*DelayValResult, error) {
 		if err != nil {
 			return nil, err
 		}
-		simCfg, err := params.SimConfig(cfg.Cal, cfg.SimDuration, cfg.Seed+int64(run))
+		simCfg, err := problem.SimConfig(params, cfg.SimDuration, cfg.Seed+int64(run))
 		if err != nil {
 			return nil, err
 		}

@@ -5,7 +5,7 @@ import (
 	"strings"
 	"testing"
 
-	"wsndse/internal/casestudy"
+	"wsndse/internal/app"
 )
 
 func TestFig3(t *testing.T) {
@@ -82,7 +82,7 @@ func TestDelayVal(t *testing.T) {
 	if res.RunsUsed != 10 {
 		t.Errorf("used %d runs, want 10", res.RunsUsed)
 	}
-	if len(res.Samples) < 10*casestudy.DefaultNodes/2 {
+	if len(res.Samples) < 10*app.DefaultNodes/2 {
 		t.Errorf("only %d samples", len(res.Samples))
 	}
 	var buf bytes.Buffer

@@ -23,6 +23,7 @@ import (
 	"fmt"
 	"math"
 
+	"wsndse/internal/app"
 	"wsndse/internal/casestudy"
 	"wsndse/internal/core"
 	"wsndse/internal/numeric"
@@ -31,7 +32,7 @@ import (
 
 // Fig3Config parameterizes the energy-accuracy experiment.
 type Fig3Config struct {
-	Cal *casestudy.Calibration
+	Cal *app.Calibration
 
 	// Grid: the paper evaluates f_µC ∈ {1, 8} MHz × CR ∈ {0.17, 0.23,
 	// 0.32, 0.38} for both applications.
@@ -77,14 +78,14 @@ func (c Fig3Config) withDefaults() Fig3Config {
 		c.Seed = 7
 	}
 	if c.Nodes == 0 {
-		c.Nodes = casestudy.DefaultNodes
+		c.Nodes = app.DefaultNodes
 	}
 	return c
 }
 
 // Fig3Row is one bar pair of Figure 3.
 type Fig3Row struct {
-	Kind       casestudy.Kind
+	Kind       app.Kind
 	MicroFreq  units.Hertz
 	CR         float64
 	Model      units.Watts // analytical estimate (Eq. 7)
@@ -132,7 +133,7 @@ func Fig3(cfg Fig3Config) (*Fig3Result, error) {
 			if err != nil {
 				return nil, err
 			}
-			kinds := casestudy.DefaultKinds(cfg.Nodes)
+			kinds := app.DefaultKinds(cfg.Nodes)
 			feasible := make([]bool, len(net.Nodes))
 			modelPower := make([]units.Watts, len(net.Nodes))
 			for i, n := range net.Nodes {
@@ -160,7 +161,7 @@ func Fig3(cfg Fig3Config) (*Fig3Result, error) {
 
 			// One row per application kind, using the first node of
 			// each kind.
-			for _, kind := range []casestudy.Kind{casestudy.KindDWT, casestudy.KindCS} {
+			for _, kind := range []app.Kind{app.KindDWT, app.KindCS} {
 				idx := firstOfKind(kinds, kind)
 				row := Fig3Row{Kind: kind, MicroFreq: fuc, CR: cr}
 				if !feasible[idx] {
@@ -173,7 +174,7 @@ func Fig3(cfg Fig3Config) (*Fig3Result, error) {
 				row.Measured = simRes.Nodes[idx].Power.Total
 				row.ErrPct = numeric.RelErr(float64(row.Model), float64(row.Measured))
 				res.Rows = append(res.Rows, row)
-				if kind == casestudy.KindDWT {
+				if kind == app.KindDWT {
 					dwtErrs = append(dwtErrs, row.ErrPct)
 				} else {
 					csErrs = append(csErrs, row.ErrPct)
@@ -189,7 +190,7 @@ func Fig3(cfg Fig3Config) (*Fig3Result, error) {
 	return res, nil
 }
 
-func firstOfKind(kinds []casestudy.Kind, k casestudy.Kind) int {
+func firstOfKind(kinds []app.Kind, k app.Kind) int {
 	for i, kk := range kinds {
 		if kk == k {
 			return i

@@ -3,6 +3,7 @@ package experiments
 import (
 	"fmt"
 
+	"wsndse/internal/app"
 	"wsndse/internal/casestudy"
 	"wsndse/internal/numeric"
 )
@@ -11,7 +12,7 @@ import (
 type Fig4Config struct {
 	// Cal is the shipped calibration whose polynomials act as the
 	// model's quality estimator. When nil, the default is used.
-	Cal *casestudy.Calibration
+	Cal *app.Calibration
 	// FreshSeed, when nonzero, validates the estimator against a corpus
 	// it was NOT fitted on (a stronger check than the paper's, which
 	// compares against the fitting data).
@@ -21,7 +22,7 @@ type Fig4Config struct {
 
 // Fig4Row is one point of Figure 4.
 type Fig4Row struct {
-	Kind      casestudy.Kind
+	Kind      app.Kind
 	CR        float64
 	Measured  float64 // PRD from actually compressing and reconstructing
 	Estimated float64 // P₅(CR)
@@ -57,14 +58,14 @@ func Fig4(cfg Fig4Config) (*Fig4Result, error) {
 	var dwtErrs, csErrs []float64
 	for i, cr := range measured.CRs {
 		dwtRow := Fig4Row{
-			Kind:      casestudy.KindDWT,
+			Kind:      app.KindDWT,
 			CR:        cr,
 			Measured:  measured.DWTMeasured[i],
 			Estimated: cfg.Cal.DWTPoly.Eval(cr),
 		}
 		dwtRow.AbsErr = abs(dwtRow.Estimated - dwtRow.Measured)
 		csRow := Fig4Row{
-			Kind:      casestudy.KindCS,
+			Kind:      app.KindCS,
 			CR:        cr,
 			Measured:  measured.CSMeasured[i],
 			Estimated: cfg.Cal.CSPoly.Eval(cr),
@@ -101,7 +102,7 @@ func (r *Fig4Result) Render(w writer) {
 // Check verifies the headline claims: monotone-decreasing PRD curves, CS
 // worse than DWT, and small estimation errors.
 func (r *Fig4Result) Check() error {
-	byKind := map[casestudy.Kind][]Fig4Row{}
+	byKind := map[app.Kind][]Fig4Row{}
 	for _, row := range r.Rows {
 		byKind[row.Kind] = append(byKind[row.Kind], row)
 	}
@@ -112,8 +113,8 @@ func (r *Fig4Result) Check() error {
 				kind, first.Measured, last.Measured)
 		}
 	}
-	for i := range byKind[casestudy.KindDWT] {
-		d, c := byKind[casestudy.KindDWT][i], byKind[casestudy.KindCS][i]
+	for i := range byKind[app.KindDWT] {
+		d, c := byKind[app.KindDWT][i], byKind[app.KindCS][i]
 		if c.Measured <= d.Measured {
 			return fmt.Errorf("fig4: CS PRD (%.2f) not worse than DWT (%.2f) at CR=%.2f",
 				c.Measured, d.Measured, d.CR)

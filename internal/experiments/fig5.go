@@ -3,6 +3,7 @@ package experiments
 import (
 	"fmt"
 
+	"wsndse/internal/app"
 	"wsndse/internal/baseline"
 	"wsndse/internal/casestudy"
 	"wsndse/internal/dse"
@@ -12,7 +13,7 @@ import (
 // Figure 5): DSE with the proposed three-metric model against DSE with a
 // state-of-the-art energy/delay model.
 type Fig5Config struct {
-	Cal *casestudy.Calibration
+	Cal *app.Calibration
 
 	// Search budget, shared by both sides.
 	PopulationSize int
@@ -82,8 +83,12 @@ type Fig5Result struct {
 func Fig5(cfg Fig5Config) (*Fig5Result, error) {
 	cfg = cfg.withDefaults()
 	problem := casestudy.NewProblem(cfg.Cal)
+	compiled, err := problem.Compile()
+	if err != nil {
+		return nil, err
+	}
 
-	full, err := dse.NSGA2(problem.Space(), problem.Evaluator(), dse.NSGA2Config{
+	full, err := dse.NSGA2(problem.Space(), compiled.Evaluator(), dse.NSGA2Config{
 		PopulationSize: cfg.PopulationSize,
 		Generations:    cfg.Generations,
 		Seed:           cfg.Seed,
@@ -92,7 +97,7 @@ func Fig5(cfg Fig5Config) (*Fig5Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	base, err := dse.NSGA2(problem.Space(), baseline.New(problem), dse.NSGA2Config{
+	base, err := dse.NSGA2(problem.Space(), baseline.New(compiled), dse.NSGA2Config{
 		PopulationSize: cfg.PopulationSize,
 		Generations:    cfg.Generations,
 		Seed:           cfg.Seed,
@@ -101,7 +106,7 @@ func Fig5(cfg Fig5Config) (*Fig5Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	lifted, err := baseline.Lift(problem, base.Front)
+	lifted, err := baseline.Lift(compiled, base.Front)
 	if err != nil {
 		return nil, err
 	}
@@ -119,7 +124,7 @@ func Fig5(cfg Fig5Config) (*Fig5Result, error) {
 	res.FullCoversBaseline = dse.Coverage(full.Front, lifted)
 
 	if cfg.RunMOSA {
-		sa, err := dse.MOSA(problem.Space(), problem.Evaluator(), dse.MOSAConfig{
+		sa, err := dse.MOSA(problem.Space(), compiled.Evaluator(), dse.MOSAConfig{
 			Iterations: cfg.PopulationSize * cfg.Generations,
 			Seed:       cfg.Seed,
 			Workers:    cfg.Workers,

@@ -8,6 +8,7 @@ import (
 	"math/rand"
 	"strconv"
 
+	"wsndse/internal/app"
 	"wsndse/internal/casestudy"
 	"wsndse/internal/core"
 	"wsndse/internal/dse"
@@ -22,7 +23,7 @@ import (
 // GTS-starvation node-count sweep walking the dense workload over the
 // 7-slot cliff.
 type ScenarioSweepConfig struct {
-	Cal *casestudy.Calibration
+	Cal *app.Calibration
 
 	// Names selects scenarios; nil sweeps every registered one.
 	Names []string
@@ -194,7 +195,11 @@ func evalScenario(ctx context.Context, sc scenario.Scenario, cfg ScenarioSweepCo
 	if err != nil {
 		return nil, err
 	}
-	search, err := dse.NSGA2Opts(p.Space(), p.Evaluator(), dse.NSGA2Config{
+	compiled, err := p.Compile()
+	if err != nil {
+		return nil, err
+	}
+	search, err := dse.NSGA2Opts(p.Space(), compiled.Evaluator(), dse.NSGA2Config{
 		PopulationSize: cfg.PopulationSize,
 		Generations:    cfg.Generations,
 		Seed:           cfg.Seed,
@@ -259,7 +264,11 @@ func starveAt(n int, cfg ScenarioSweepConfig) (StarvationRow, error) {
 	if err != nil {
 		return StarvationRow{}, err
 	}
-	eval := p.Evaluator()
+	compiled, err := p.Compile()
+	if err != nil {
+		return StarvationRow{}, err
+	}
+	eval := compiled.Evaluator()
 	rng := rand.New(rand.NewSource(cfg.Seed + int64(n)))
 	row := StarvationRow{Nodes: n, Sampled: cfg.StarvationSamples}
 	for i := 0; i < cfg.StarvationSamples; i++ {

@@ -6,13 +6,16 @@ import (
 	"math/rand"
 	"time"
 
+	"wsndse/internal/app"
 	"wsndse/internal/casestudy"
+	"wsndse/internal/dse"
+	"wsndse/internal/scenario"
 	"wsndse/internal/units"
 )
 
 // SpeedConfig parameterizes the evaluation-throughput comparison (§5.2).
 type SpeedConfig struct {
-	Cal *casestudy.Calibration
+	Cal *app.Calibration
 	// ModelEvals is the number of model evaluations to time (default
 	// 20000).
 	ModelEvals int
@@ -61,34 +64,27 @@ type SpeedResult struct {
 func Speed(cfg SpeedConfig) (*SpeedResult, error) {
 	cfg = cfg.withDefaults()
 	problem := casestudy.NewProblem(cfg.Cal)
-	eval := problem.Evaluator()
+	compiled, err := problem.Compile()
+	if err != nil {
+		return nil, err
+	}
+	eval := compiled.Evaluator()
 	rng := rand.New(rand.NewSource(cfg.Seed))
 
 	// Pre-draw feasible configurations so the timed loop measures only
 	// evaluation.
 	const poolSize = 64
-	pool := make([]struct {
-		c      []int
-		params casestudy.Params
-	}, 0, poolSize)
-	for len(pool) < poolSize {
-		c := problem.Space().Random(rng)
-		if _, err := eval.Evaluate(c); err != nil {
-			continue
-		}
-		params, err := problem.Decode(c)
-		if err != nil {
+	configs := make([]dse.Config, poolSize)
+	params := make([]scenario.Params, poolSize)
+	for i := range configs {
+		if configs[i], params[i], err = feasibleParams(problem, eval, rng); err != nil {
 			return nil, err
 		}
-		pool = append(pool, struct {
-			c      []int
-			params casestudy.Params
-		}{c, params})
 	}
 
 	start := time.Now()
 	for i := 0; i < cfg.ModelEvals; i++ {
-		if _, err := eval.Evaluate(pool[i%poolSize].c); err != nil {
+		if _, err := eval.Evaluate(configs[i%poolSize]); err != nil {
 			return nil, err
 		}
 	}
@@ -96,7 +92,7 @@ func Speed(cfg SpeedConfig) (*SpeedResult, error) {
 
 	var simWall time.Duration
 	for i := 0; i < cfg.SimRuns; i++ {
-		simCfg, err := pool[i%poolSize].params.SimConfig(cfg.Cal, cfg.SimDuration, cfg.Seed+int64(i))
+		simCfg, err := problem.SimConfig(params[i%poolSize], cfg.SimDuration, cfg.Seed+int64(i))
 		if err != nil {
 			return nil, err
 		}

@@ -3,7 +3,7 @@ package scenario
 import (
 	"fmt"
 
-	"wsndse/internal/casestudy"
+	"wsndse/internal/app"
 	"wsndse/internal/platform"
 	"wsndse/internal/sim"
 	"wsndse/internal/units"
@@ -19,13 +19,13 @@ func init() {
 
 // ecgNode builds one case-study wearable: a 250 Hz ECG compressor on
 // Shimmer-class hardware exploring the paper's CR grid.
-func ecgNode(name string, kind casestudy.Kind) NodeSpec {
+func ecgNode(name string, kind app.Kind) NodeSpec {
 	return NodeSpec{
 		Name:       name,
 		Kind:       kind,
 		Platform:   platform.Shimmer(),
-		SampleFreq: casestudy.SampleRate,
-		CRs:        casestudy.CRGrid(),
+		SampleFreq: app.ECGSampleRate,
+		CRs:        app.CRGrid(),
 	}
 }
 
@@ -35,7 +35,7 @@ func ecgNode(name string, kind casestudy.Kind) NodeSpec {
 func telemetryNode(name string, p platform.Platform, fs units.Hertz, payload int) NodeSpec {
 	return NodeSpec{
 		Name:         name,
-		Kind:         casestudy.KindRaw,
+		Kind:         app.KindRaw,
 		Platform:     p,
 		SampleFreq:   fs,
 		MicroFreqs:   []units.Hertz{1e6},
@@ -47,8 +47,8 @@ func telemetryNode(name string, p platform.Platform, fs units.Hertz, payload int
 // half wavelet and half compressed-sensing, on the full χ_mac grid. It is
 // the reference workload every other scenario deviates from.
 func ECGWard() Scenario {
-	nodes := make([]NodeSpec, casestudy.DefaultNodes)
-	for i, kind := range casestudy.DefaultKinds(casestudy.DefaultNodes) {
+	nodes := make([]NodeSpec, app.DefaultNodes)
+	for i, kind := range app.DefaultKinds(app.DefaultNodes) {
 		nodes[i] = ecgNode(fmt.Sprintf("%s-%d", kind, i), kind)
 	}
 	return Scenario{
@@ -76,9 +76,9 @@ func MixedWard() Scenario {
 		Description: "ECG compressors + TelosB temperature motes + an actuator-ack node",
 		Stress:      "mixed traffic and per-node payload profiles across two platforms",
 		Nodes: []NodeSpec{
-			ecgNode("ecg-dwt-0", casestudy.KindDWT),
-			ecgNode("ecg-dwt-1", casestudy.KindDWT),
-			ecgNode("ecg-cs-2", casestudy.KindCS),
+			ecgNode("ecg-dwt-0", app.KindDWT),
+			ecgNode("ecg-dwt-1", app.KindDWT),
+			ecgNode("ecg-cs-2", app.KindCS),
 			telemetryNode("temp-3", platform.TelosB(), 4, 16),
 			telemetryNode("temp-4", platform.TelosB(), 4, 16),
 			telemetryNode("actuator-5", platform.Shimmer(), 2, 16),
@@ -99,12 +99,12 @@ func MixedWard() Scenario {
 func Athletes() Scenario {
 	coach := NodeSpec{
 		Name:       "motion-coach",
-		Kind:       casestudy.KindDWT,
+		Kind:       app.KindDWT,
 		Platform:   platform.Shimmer(),
 		SampleFreq: 100,
 		CRs:        []float64{0.32, 0.35, 0.38},
 	}
-	runner := func(name string, kind casestudy.Kind) NodeSpec {
+	runner := func(name string, kind app.Kind) NodeSpec {
 		n := ecgNode(name, kind)
 		n.SampleFreq = 100
 		return n
@@ -115,9 +115,9 @@ func Athletes() Scenario {
 		Stress:      "block arrivals (the Eq. 9 uniformity assumption breaks) + retransmissions",
 		Nodes: []NodeSpec{
 			coach,
-			runner("motion-1", casestudy.KindDWT),
-			runner("motion-2", casestudy.KindCS),
-			runner("motion-3", casestudy.KindCS),
+			runner("motion-1", app.KindDWT),
+			runner("motion-2", app.KindCS),
+			runner("motion-3", app.KindCS),
 		},
 		BeaconOrders: []int{1, 2, 3},
 		SFOGaps:      []int{0, 1},
@@ -145,7 +145,7 @@ func DenseGTS(n int) Scenario {
 	nodes := make([]NodeSpec, n)
 	for i := range nodes {
 		if i%2 == 0 {
-			nodes[i] = ecgNode(fmt.Sprintf("ecg-cs-%d", i), casestudy.KindCS)
+			nodes[i] = ecgNode(fmt.Sprintf("ecg-cs-%d", i), app.KindCS)
 		} else {
 			nodes[i] = telemetryNode(fmt.Sprintf("temp-%d", i), platform.TelosB(), 8, 16)
 		}
@@ -174,9 +174,9 @@ func RawStream() Scenario {
 		Description: "three uncompressed 250 Hz ECG streamers (375 B/s each)",
 		Stress:      "radio-dominated energy with no quality trade-off; bandwidth pressure",
 		Nodes: []NodeSpec{
-			telemetryNode("raw-0", platform.Shimmer(), casestudy.SampleRate, 0),
-			telemetryNode("raw-1", platform.Shimmer(), casestudy.SampleRate, 0),
-			telemetryNode("raw-2", platform.Shimmer(), casestudy.SampleRate, 0),
+			telemetryNode("raw-0", platform.Shimmer(), app.ECGSampleRate, 0),
+			telemetryNode("raw-1", platform.Shimmer(), app.ECGSampleRate, 0),
+			telemetryNode("raw-2", platform.Shimmer(), app.ECGSampleRate, 0),
 		},
 		BeaconOrders: []int{1, 2, 3, 4, 5, 6},
 		SFOGaps:      []int{0, 1},

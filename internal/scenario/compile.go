@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"wsndse/internal/app"
-	"wsndse/internal/casestudy"
 	"wsndse/internal/core"
 	"wsndse/internal/dse"
 	"wsndse/internal/units"
@@ -86,7 +85,7 @@ func (p *Problem) Compile() (*Compiled, error) {
 		rates := make([]units.BytesPerSecond, len(crs))
 		quals := make([]float64, len(crs))
 		for j, cr := range crs {
-			a, err := casestudy.AppFor(p.Cal, ns.Kind, cr)
+			a, err := app.For(p.Cal, ns.Kind, cr)
 			if err != nil {
 				return nil, fmt.Errorf("scenario %q: Compile: node %s, CR %g: %w", sc.Name, ns.Name, cr, err)
 			}

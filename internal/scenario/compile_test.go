@@ -1,27 +1,51 @@
-package scenario
+package scenario_test
 
 import (
 	"math"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"wsndse/internal/casestudy"
 	"wsndse/internal/core"
 	"wsndse/internal/dse"
+	"wsndse/internal/scenario"
 )
 
+// groupedCase names the case study's grouped-layout problem
+// (casestudy.NewProblem) among the compile test inputs.
+const groupedCase = "ecg-ward-grouped"
+
+// compileCases returns every registered scenario in the interleaved
+// layout plus the case study's grouped layout, keyed by subtest name.
+func compileCases(t *testing.T) (names []string, problems map[string]*scenario.Problem) {
+	t.Helper()
+	problems = map[string]*scenario.Problem{}
+	for _, sc := range scenario.List() {
+		p, err := scenario.NewProblem(sc, casestudy.DefaultCalibration())
+		if err != nil {
+			t.Fatal(err)
+		}
+		names = append(names, sc.Name)
+		problems[sc.Name] = p
+	}
+	names = append(names, groupedCase)
+	problems[groupedCase] = casestudy.NewProblem(casestudy.DefaultCalibration())
+	return names, problems
+}
+
 // TestCompiledMatchesReferenceAllScenarios is the tentpole equivalence
-// guarantee: for every registered scenario, the compiled evaluator returns
-// bit-identical objectives and identical feasibility (including the
-// infeasibility class) to the reference evaluator, both directly and
-// through the batch runtime at worker counts 1 and 8.
+// guarantee: for every registered scenario, and for the case study's
+// grouped layout, the compiled evaluator returns bit-identical objectives
+// and identical feasibility (including the infeasibility class) to the
+// reference evaluator — directly, through the batch runtime at worker
+// counts 1 and 8, and across a whole NSGA-II search — and rejects
+// configurations that do not index the space.
 func TestCompiledMatchesReferenceAllScenarios(t *testing.T) {
-	for _, sc := range List() {
-		t.Run(sc.Name, func(t *testing.T) {
-			problem, err := NewProblem(sc, casestudy.DefaultCalibration())
-			if err != nil {
-				t.Fatal(err)
-			}
+	names, problems := compileCases(t)
+	for _, name := range names {
+		problem := problems[name]
+		t.Run(name, func(t *testing.T) {
 			compiled, err := problem.Compile()
 			if err != nil {
 				t.Fatal(err)
@@ -29,7 +53,7 @@ func TestCompiledMatchesReferenceAllScenarios(t *testing.T) {
 			ref := problem.Evaluator()
 			fast := compiled.Evaluator()
 
-			rng := rand.New(rand.NewSource(int64(len(sc.Name)) * 1237))
+			rng := rand.New(rand.NewSource(int64(len(name)) * 1237))
 			configs := make([]dse.Config, 0, 260)
 			for i := 0; i < 250; i++ {
 				configs = append(configs, problem.Space().Random(rng))
@@ -62,7 +86,17 @@ func TestCompiledMatchesReferenceAllScenarios(t *testing.T) {
 				}
 			}
 			if feasible == 0 {
-				t.Logf("scenario %s: no feasible configuration in the sample (infeasibility-stress scenario)", sc.Name)
+				t.Logf("%s: no feasible configuration in the sample (infeasibility-stress scenario)", name)
+			}
+
+			// Configurations that do not index the space are rejected,
+			// not evaluated.
+			outOfRange := lo.Clone()
+			outOfRange[0] = len(problem.Space().Params[0].Values)
+			for _, c := range []dse.Config{nil, {0}, append(hi.Clone(), 0), outOfRange} {
+				if _, err := fast.Evaluate(c); err == nil {
+					t.Fatalf("compiled evaluator accepted invalid config %v", c)
+				}
 			}
 
 			// Batch runtime at worker counts 1 and 8 against the
@@ -86,50 +120,64 @@ func TestCompiledMatchesReferenceAllScenarios(t *testing.T) {
 					}
 				}
 			}
+
+			// A whole search: the compiled pipeline is a drop-in
+			// replacement, counts included.
+			cfg := dse.NSGA2Config{PopulationSize: 16, Generations: 6, Seed: 3, Workers: 4}
+			wantRes, err := dse.NSGA2(problem.Space(), ref, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			gotRes, err := dse.NSGA2(problem.Space(), compiled.Evaluator(), cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(gotRes, wantRes) {
+				t.Fatalf("compiled search (%d evaluated, %d infeasible, %d front) differs from reference (%d, %d, %d)",
+					gotRes.Evaluated, gotRes.Infeasible, len(gotRes.Front),
+					wantRes.Evaluated, wantRes.Infeasible, len(wantRes.Front))
+			}
 		})
 	}
 }
 
 // TestCompiledZeroAllocsScenario pins the allocation guarantee on a
 // scenario with per-node MAC views (mixed-ward has payload-override
-// nodes), the structurally richest compiled path.
+// nodes), the structurally richest compiled path, and on the case
+// study's grouped layout.
 func TestCompiledZeroAllocsScenario(t *testing.T) {
-	sc, ok := Lookup("mixed-ward")
-	if !ok {
-		t.Fatal("mixed-ward not registered")
-	}
-	problem, err := NewProblem(sc, casestudy.DefaultCalibration())
-	if err != nil {
-		t.Fatal(err)
-	}
-	compiled, err := problem.Compile()
-	if err != nil {
-		t.Fatal(err)
-	}
-	eval := compiled.Evaluator().(dse.Forkable).Fork().(dse.IntoEvaluator)
+	_, problems := compileCases(t)
+	for _, name := range []string{"mixed-ward", groupedCase} {
+		problem := problems[name]
+		compiled, err := problem.Compile()
+		if err != nil {
+			t.Fatal(err)
+		}
+		eval := compiled.Evaluator().(dse.Forkable).Fork().(dse.IntoEvaluator)
 
-	rng := rand.New(rand.NewSource(2))
-	var cfg dse.Config
-	for i := 0; ; i++ {
-		c := problem.Space().Random(rng)
-		if _, err := eval.Evaluate(c); err == nil {
-			cfg = c
-			break
+		rng := rand.New(rand.NewSource(2))
+		var cfg dse.Config
+		for i := 0; ; i++ {
+			c := problem.Space().Random(rng)
+			if _, err := eval.Evaluate(c); err == nil {
+				cfg = c
+				break
+			}
+			if i > 20000 {
+				t.Fatalf("no feasible %s configuration found", name)
+			}
 		}
-		if i > 20000 {
-			t.Fatal("no feasible mixed-ward configuration found")
-		}
-	}
-	objs := make(dse.Objectives, 3)
-	if err := eval.EvaluateInto(cfg, objs); err != nil {
-		t.Fatal(err)
-	}
-	allocs := testing.AllocsPerRun(500, func() {
+		objs := make(dse.Objectives, 3)
 		if err := eval.EvaluateInto(cfg, objs); err != nil {
 			t.Fatal(err)
 		}
-	})
-	if allocs != 0 {
-		t.Fatalf("compiled EvaluateInto allocates %.1f objects per call in steady state, want 0", allocs)
+		allocs := testing.AllocsPerRun(500, func() {
+			if err := eval.EvaluateInto(cfg, objs); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs != 0 {
+			t.Fatalf("%s: compiled EvaluateInto allocates %.1f objects per call in steady state, want 0", name, allocs)
+		}
 	}
 }

@@ -1,4 +1,4 @@
-package scenario
+package scenario_test
 
 import (
 	"reflect"
@@ -6,6 +6,7 @@ import (
 
 	"wsndse/internal/casestudy"
 	"wsndse/internal/dse"
+	"wsndse/internal/scenario"
 	"wsndse/internal/sim"
 )
 
@@ -17,11 +18,11 @@ import (
 // also catch scheduling-dependent state in the batch runtime.
 func TestScenarioDeterminism(t *testing.T) {
 	cal := casestudy.DefaultCalibration()
-	for _, sc := range List() {
+	for _, sc := range scenario.List() {
 		sc := sc
 		t.Run(sc.Name, func(t *testing.T) {
 			t.Parallel()
-			p, err := NewProblem(sc, cal)
+			p, err := scenario.NewProblem(sc, cal)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -5,7 +5,7 @@ import (
 	"strconv"
 	"strings"
 
-	"wsndse/internal/casestudy"
+	"wsndse/internal/app"
 	"wsndse/internal/platform"
 	"wsndse/internal/scenario"
 	"wsndse/internal/sim"
@@ -29,16 +29,16 @@ func nodeCount(v string) (int, error) {
 // compressionNode builds one wearable compressor on the given chipset.
 // Kinds alternate DWT/CS by index, like the paper's ward.
 func compressionNode(i int, plat platform.Platform) scenario.NodeSpec {
-	kind := casestudy.KindDWT
+	kind := app.KindDWT
 	if i%2 == 1 {
-		kind = casestudy.KindCS
+		kind = app.KindCS
 	}
 	return scenario.NodeSpec{
 		Name:       fmt.Sprintf("%s-%d", kind, i),
 		Kind:       kind,
 		Platform:   plat,
-		SampleFreq: casestudy.SampleRate,
-		CRs:        casestudy.CRGrid(),
+		SampleFreq: app.ECGSampleRate,
+		CRs:        app.CRGrid(),
 	}
 }
 
@@ -79,7 +79,7 @@ func ChipsetSweep() Family {
 				// short-frame TelosB telemetry mote in the same superframe.
 				nodes[n-1] = scenario.NodeSpec{
 					Name:         fmt.Sprintf("temp-%d", n-1),
-					Kind:         casestudy.KindRaw,
+					Kind:         app.KindRaw,
 					Platform:     platform.TelosB(),
 					SampleFreq:   4,
 					MicroFreqs:   []units.Hertz{1e6},
@@ -169,7 +169,7 @@ func MobileRelay() Family {
 			}
 			relay := compressionNode(n-1, relayPlat)
 			relay.Name = "relay-" + v["relay"]
-			relay.Kind = casestudy.KindCS // the relay compresses aggressively to survive fades
+			relay.Kind = app.KindCS // the relay compresses aggressively to survive fades
 			relay.Link = link
 			nodes[n-1] = relay
 

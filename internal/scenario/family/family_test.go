@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"wsndse/internal/app"
 	"wsndse/internal/casestudy"
 	"wsndse/internal/platform"
 	"wsndse/internal/scenario"
@@ -137,7 +138,7 @@ func TestEnableRejectsInfeasibleFamily(t *testing.T) {
 			for i := range nodes {
 				nodes[i] = scenario.NodeSpec{
 					Name:         fmt.Sprintf("raw-%d", i),
-					Kind:         casestudy.KindRaw,
+					Kind:         app.KindRaw,
 					Platform:     platform.Shimmer(),
 					SampleFreq:   4000, // 8 kB/s of raw samples per node
 					MicroFreqs:   []units.Hertz{8e6},

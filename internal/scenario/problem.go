@@ -4,7 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 
-	"wsndse/internal/casestudy"
+	"wsndse/internal/app"
 	"wsndse/internal/core"
 	"wsndse/internal/dse"
 	ieee "wsndse/internal/ieee802154"
@@ -29,15 +29,30 @@ type Params struct {
 // packet-level simulator.
 type Problem struct {
 	Scenario Scenario
-	Cal      *casestudy.Calibration
+	Cal      *app.Calibration
 
 	space  *dse.Space
 	crGene []int // gene index of node i's CR axis, -1 if none
 	fGene  []int // gene index of node i's frequency axis
 }
 
-// NewProblem validates the scenario and builds its design space.
-func NewProblem(sc Scenario, cal *casestudy.Calibration) (*Problem, error) {
+// NewProblem validates the scenario and builds its design space in the
+// interleaved layout: BO, SFO gap, payload, then each node's CR gene
+// (if any) followed by its frequency gene.
+func NewProblem(sc Scenario, cal *app.Calibration) (*Problem, error) {
+	return newProblem(sc, cal, false)
+}
+
+// NewGroupedProblem is NewProblem in the grouped layout of the paper's
+// §5 case study: BO, SFO gap, payload, then every node's CR gene, then
+// every node's frequency gene. Both layouts span the same model; they
+// differ only in gene order, and with it in the trajectory a seeded
+// search takes.
+func NewGroupedProblem(sc Scenario, cal *app.Calibration) (*Problem, error) {
+	return newProblem(sc, cal, true)
+}
+
+func newProblem(sc Scenario, cal *app.Calibration, grouped bool) (*Problem, error) {
 	if err := sc.Validate(); err != nil {
 		return nil, err
 	}
@@ -56,25 +71,40 @@ func NewProblem(sc Scenario, cal *casestudy.Calibration) (*Problem, error) {
 		dse.Parameter{Name: "SFOgap", Values: intsToFloats(sc.SFOGaps)},
 		dse.Parameter{Name: "payload", Values: intsToFloats(sc.Payloads)},
 	)
-	for i, ns := range sc.Nodes {
+	addCR := func(i int) {
 		p.crGene[i] = -1
-		if ns.explorableCR() {
+		if ns := sc.Nodes[i]; ns.explorableCR() {
 			p.crGene[i] = len(p.space.Params)
 			p.space.Params = append(p.space.Params, dse.Parameter{
 				Name:   "cr:" + ns.Name,
 				Values: append([]float64(nil), ns.CRs...),
 			})
 		}
-		freqs := ns.microFreqs()
+	}
+	addFreq := func(i int) {
+		freqs := sc.Nodes[i].microFreqs()
 		fVals := make([]float64, len(freqs))
 		for j, f := range freqs {
 			fVals[j] = float64(f)
 		}
 		p.fGene[i] = len(p.space.Params)
 		p.space.Params = append(p.space.Params, dse.Parameter{
-			Name:   "fuc:" + ns.Name,
+			Name:   "fuc:" + sc.Nodes[i].Name,
 			Values: fVals,
 		})
+	}
+	if grouped {
+		for i := range sc.Nodes {
+			addCR(i)
+		}
+		for i := range sc.Nodes {
+			addFreq(i)
+		}
+	} else {
+		for i := range sc.Nodes {
+			addCR(i)
+			addFreq(i)
+		}
 	}
 	return p, nil
 }
@@ -133,7 +163,7 @@ func (p *Problem) Network(params Params) (*core.Network, error) {
 	nodes := make([]*core.Node, n)
 	var views []core.MAC
 	for i, ns := range sc.Nodes {
-		a, err := casestudy.AppFor(p.Cal, ns.Kind, params.CR[i])
+		a, err := app.For(p.Cal, ns.Kind, params.CR[i])
 		if err != nil {
 			return nil, err
 		}

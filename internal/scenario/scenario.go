@@ -18,7 +18,7 @@ package scenario
 import (
 	"fmt"
 
-	"wsndse/internal/casestudy"
+	"wsndse/internal/app"
 	ieee "wsndse/internal/ieee802154"
 	"wsndse/internal/platform"
 	"wsndse/internal/sim"
@@ -31,7 +31,7 @@ type NodeSpec struct {
 	Name string
 	// Kind selects the application: the calibrated DWT/CS compressors or
 	// the raw passthrough stream.
-	Kind casestudy.Kind
+	Kind app.Kind
 	// Platform is the node hardware (e.g. platform.Shimmer for wearables,
 	// platform.TelosB for telemetry motes).
 	Platform platform.Platform
@@ -70,7 +70,7 @@ func (ns NodeSpec) microFreqs() []units.Hertz {
 
 // explorableCR reports whether the node contributes a CR gene.
 func (ns NodeSpec) explorableCR() bool {
-	return ns.Kind != casestudy.KindRaw && len(ns.CRs) > 0
+	return ns.Kind != app.KindRaw && len(ns.CRs) > 0
 }
 
 // Traffic is the scenario-wide channel and arrival characterization the
@@ -158,10 +158,10 @@ func (s Scenario) Validate() error {
 			return fmt.Errorf("scenario %q: duplicate node name %q", s.Name, ns.Name)
 		}
 		seen[ns.Name] = true
-		if ns.Kind != casestudy.KindDWT && ns.Kind != casestudy.KindCS && ns.Kind != casestudy.KindRaw {
+		if ns.Kind != app.KindDWT && ns.Kind != app.KindCS && ns.Kind != app.KindRaw {
 			return fmt.Errorf("scenario %q: node %s has unknown kind %v", s.Name, ns.Name, ns.Kind)
 		}
-		if ns.Kind != casestudy.KindRaw && len(ns.CRs) == 0 {
+		if ns.Kind != app.KindRaw && len(ns.CRs) == 0 {
 			return fmt.Errorf("scenario %q: compression node %s has no CR values", s.Name, ns.Name)
 		}
 		for _, cr := range ns.CRs {

@@ -1,17 +1,19 @@
-package scenario
+package scenario_test
 
 import (
 	"sort"
 	"strings"
 	"testing"
 
+	"wsndse/internal/app"
 	"wsndse/internal/casestudy"
+	"wsndse/internal/scenario"
 	"wsndse/internal/sim"
 	"wsndse/internal/units"
 )
 
 func TestBuiltinsRegistered(t *testing.T) {
-	names := Names()
+	names := scenario.Names()
 	if len(names) < 4 {
 		t.Fatalf("want at least 4 registered scenarios, got %v", names)
 	}
@@ -19,7 +21,7 @@ func TestBuiltinsRegistered(t *testing.T) {
 		t.Errorf("Names not sorted: %v", names)
 	}
 	for _, want := range []string{"ecg-ward", "mixed-ward", "athletes", "dense-gts", "raw-stream"} {
-		sc, ok := Lookup(want)
+		sc, ok := scenario.Lookup(want)
 		if !ok {
 			t.Errorf("built-in %q not registered", want)
 			continue
@@ -31,67 +33,67 @@ func TestBuiltinsRegistered(t *testing.T) {
 			t.Errorf("%q lacks description or stress note", want)
 		}
 	}
-	if _, ok := Lookup("no-such-scenario"); ok {
+	if _, ok := scenario.Lookup("no-such-scenario"); ok {
 		t.Error("Lookup invented a scenario")
 	}
 }
 
 func TestRegisterRejectsDuplicatesAndInvalid(t *testing.T) {
-	if err := Register(ECGWard()); err == nil {
+	if err := scenario.Register(scenario.ECGWard()); err == nil {
 		t.Error("duplicate registration accepted")
 	}
-	bad := ECGWard()
+	bad := scenario.ECGWard()
 	bad.Name = "bad-ward"
 	bad.Nodes = nil
-	if err := Register(bad); err == nil {
+	if err := scenario.Register(bad); err == nil {
 		t.Error("invalid scenario registered")
 	}
-	if _, ok := Lookup("bad-ward"); ok {
+	if _, ok := scenario.Lookup("bad-ward"); ok {
 		t.Error("rejected scenario ended up in the registry")
 	}
 }
 
 func TestLookupReturnsDeepCopies(t *testing.T) {
-	a, _ := Lookup("ecg-ward")
+	a, _ := scenario.Lookup("ecg-ward")
 	a.Nodes[0].CRs[0] = 0.99
 	a.Payloads[0] = 1
 	a.Nodes[0].Platform.MicroFreqs[0] = 1
-	b, _ := Lookup("ecg-ward")
+	b, _ := scenario.Lookup("ecg-ward")
 	if b.Nodes[0].CRs[0] == 0.99 || b.Payloads[0] == 1 || b.Nodes[0].Platform.MicroFreqs[0] == 1 {
 		t.Error("mutating a looked-up scenario corrupted the registry")
 	}
 }
 
 func TestValidateTable(t *testing.T) {
-	mutate := func(f func(*Scenario)) Scenario {
-		sc := MixedWard()
+	mutate := func(f func(*scenario.Scenario)) scenario.Scenario {
+		sc := scenario.MixedWard()
 		sc.Name = "mutant"
 		f(&sc)
 		return sc
 	}
 	cases := []struct {
 		name string
-		sc   Scenario
+		sc   scenario.Scenario
 		want string // substring of the error
 	}{
-		{"empty name", mutate(func(s *Scenario) { s.Name = "" }), "empty name"},
-		{"no nodes", mutate(func(s *Scenario) { s.Nodes = nil }), "no nodes"},
-		{"unnamed node", mutate(func(s *Scenario) { s.Nodes[0].Name = "" }), "no name"},
-		{"duplicate node name", mutate(func(s *Scenario) { s.Nodes[1].Name = s.Nodes[0].Name }), "duplicate node name"},
-		{"bad kind", mutate(func(s *Scenario) { s.Nodes[0].Kind = casestudy.Kind(42) }), "unknown kind"},
-		{"compression without CRs", mutate(func(s *Scenario) { s.Nodes[0].CRs = nil }), "no CR values"},
-		{"CR out of range", mutate(func(s *Scenario) { s.Nodes[0].CRs = []float64{1.5} }), "out of (0,1]"},
-		{"bad sample rate", mutate(func(s *Scenario) { s.Nodes[0].SampleFreq = 0 }), "sample rate"},
-		{"bad frequency", mutate(func(s *Scenario) { s.Nodes[0].MicroFreqs = []units.Hertz{-1} }), "µC frequency"},
-		{"oversized payload override", mutate(func(s *Scenario) { s.Nodes[3].PayloadBytes = 200 }), "payload override"},
-		{"no beacon orders", mutate(func(s *Scenario) { s.BeaconOrders = nil }), "MAC axis"},
-		{"beacon order out of range", mutate(func(s *Scenario) { s.BeaconOrders = []int{15} }), "beacon order"},
-		{"negative gap", mutate(func(s *Scenario) { s.SFOGaps = []int{-1} }), "SFO gap"},
-		{"payload axis out of range", mutate(func(s *Scenario) { s.Payloads = []int{0} }), "payload 0"},
-		{"negative theta", mutate(func(s *Scenario) { s.Theta = -0.5 }), "balance weight"},
-		{"bad PER", mutate(func(s *Scenario) { s.Traffic.PacketErrorRate = 1 }), "error rate"},
-		{"negative block", mutate(func(s *Scenario) { s.Traffic.BlockSamples = -1 }), "block size"},
-		{"bad duration", mutate(func(s *Scenario) { s.SimDuration = 0 }), "duration"},
+		{"empty name", mutate(func(s *scenario.Scenario) { s.Name = "" }), "empty name"},
+		{"no nodes", mutate(func(s *scenario.Scenario) { s.Nodes = nil }), "no nodes"},
+		{"unnamed node", mutate(func(s *scenario.Scenario) { s.Nodes[0].Name = "" }), "no name"},
+		{"duplicate node name", mutate(func(s *scenario.Scenario) { s.Nodes[1].Name = s.Nodes[0].Name }), "duplicate node name"},
+		{"bad kind", mutate(func(s *scenario.Scenario) { s.Nodes[0].Kind = app.Kind(42) }), "unknown kind"},
+		{"compression without CRs", mutate(func(s *scenario.Scenario) { s.Nodes[0].CRs = nil }), "no CR values"},
+		{"CR out of range", mutate(func(s *scenario.Scenario) { s.Nodes[0].CRs = []float64{1.5} }), "out of (0,1]"},
+		{"bad sample rate", mutate(func(s *scenario.Scenario) { s.Nodes[0].SampleFreq = 0 }), "sample rate"},
+		{"bad frequency", mutate(func(s *scenario.Scenario) { s.Nodes[0].MicroFreqs = []units.Hertz{-1} }), "µC frequency"},
+		{"oversized payload override", mutate(func(s *scenario.Scenario) { s.Nodes[3].PayloadBytes = 200 }), "payload override"},
+		{"no beacon orders", mutate(func(s *scenario.Scenario) { s.BeaconOrders = nil }), "MAC axis"},
+		{"beacon order out of range", mutate(func(s *scenario.Scenario) { s.BeaconOrders = []int{15} }), "beacon order"},
+		{"negative gap", mutate(func(s *scenario.Scenario) { s.SFOGaps = []int{-1} }), "SFO gap"},
+		{"payload axis out of range", mutate(func(s *scenario.Scenario) { s.Payloads = []int{0} }), "payload 0"},
+		{"negative theta", mutate(func(s *scenario.Scenario) { s.Theta = -0.5 }), "balance weight"},
+		{"bad PER", mutate(func(s *scenario.Scenario) { s.Traffic.PacketErrorRate = 1 }), "error rate"},
+		{"negative block", mutate(func(s *scenario.Scenario) { s.Traffic.BlockSamples = -1 }), "block size"},
+		{"bad duration", mutate(func(s *scenario.Scenario) { s.SimDuration = 0 }), "duration"},
 	}
 	for _, tc := range cases {
 		err := tc.sc.Validate()
@@ -103,13 +105,13 @@ func TestValidateTable(t *testing.T) {
 			t.Errorf("%s: error %q does not mention %q", tc.name, err, tc.want)
 		}
 	}
-	if err := MixedWard().Validate(); err != nil {
+	if err := scenario.MixedWard().Validate(); err != nil {
 		t.Errorf("pristine scenario invalid: %v", err)
 	}
 }
 
 func TestProblemGeneLayout(t *testing.T) {
-	p, err := NewProblem(MixedWard(), casestudy.DefaultCalibration())
+	p, err := scenario.NewProblem(scenario.MixedWard(), casestudy.DefaultCalibration())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -118,22 +120,22 @@ func TestProblemGeneLayout(t *testing.T) {
 	if got, want := len(p.Space().Params), 3+3+6; got != want {
 		t.Fatalf("gene count = %d, want %d", got, want)
 	}
-	for i, ns := range p.Scenario.Nodes {
-		if ns.Kind == casestudy.KindRaw {
-			if p.crGene[i] != -1 {
-				t.Errorf("raw node %s got CR gene %d", ns.Name, p.crGene[i])
-			}
-		} else if p.crGene[i] < 0 {
-			t.Errorf("compression node %s has no CR gene", ns.Name)
+	genes := map[string]bool{}
+	for _, g := range p.Space().Params {
+		genes[g.Name] = true
+	}
+	for _, ns := range p.Scenario.Nodes {
+		if hasCR := genes["cr:"+ns.Name]; hasCR == (ns.Kind == app.KindRaw) {
+			t.Errorf("node %s (%v): CR gene present = %v", ns.Name, ns.Kind, hasCR)
 		}
-		if p.fGene[i] < 0 {
+		if !genes["fuc:"+ns.Name] {
 			t.Errorf("node %s has no frequency gene", ns.Name)
 		}
 	}
 }
 
 func TestDecodeClampsAndDefaults(t *testing.T) {
-	p, err := NewProblem(MixedWard(), casestudy.DefaultCalibration())
+	p, err := scenario.NewProblem(scenario.MixedWard(), casestudy.DefaultCalibration())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -148,7 +150,7 @@ func TestDecodeClampsAndDefaults(t *testing.T) {
 		t.Errorf("SFO %d with BO %d and gap 2", params.SuperframeOrder, params.BeaconOrder)
 	}
 	for i, ns := range p.Scenario.Nodes {
-		if ns.Kind == casestudy.KindRaw && params.CR[i] != 1 {
+		if ns.Kind == app.KindRaw && params.CR[i] != 1 {
 			t.Errorf("raw node %s decoded CR %g, want 1", ns.Name, params.CR[i])
 		}
 	}
@@ -158,7 +160,7 @@ func TestDecodeClampsAndDefaults(t *testing.T) {
 }
 
 func TestMaterializationCarriesOverrides(t *testing.T) {
-	p, err := NewProblem(MixedWard(), casestudy.DefaultCalibration())
+	p, err := scenario.NewProblem(scenario.MixedWard(), casestudy.DefaultCalibration())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -198,7 +200,7 @@ func TestMaterializationCarriesOverrides(t *testing.T) {
 }
 
 func TestAthletesTrafficProfile(t *testing.T) {
-	p, err := NewProblem(Athletes(), casestudy.DefaultCalibration())
+	p, err := scenario.NewProblem(scenario.Athletes(), casestudy.DefaultCalibration())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -216,9 +218,9 @@ func TestAthletesTrafficProfile(t *testing.T) {
 }
 
 func TestDenseGTSPastSlotLimitIsInfeasible(t *testing.T) {
-	sc := DenseGTS(9)
+	sc := scenario.DenseGTS(9)
 	sc.Name = "dense-gts-9"
-	p, err := NewProblem(sc, casestudy.DefaultCalibration())
+	p, err := scenario.NewProblem(sc, casestudy.DefaultCalibration())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -40,6 +40,7 @@ import (
 	"strings"
 	"sync"
 
+	"wsndse/internal/app"
 	"wsndse/internal/casestudy"
 	"wsndse/internal/core"
 	"wsndse/internal/dse"
@@ -208,7 +209,7 @@ func Check(p *scenario.Problem, cfg dse.Config, tol Tolerance) (*Report, error) 
 
 // CheckScenario cross-validates one scenario at its deterministic feasible
 // configuration.
-func CheckScenario(sc scenario.Scenario, cal *casestudy.Calibration, tol Tolerance) (*Report, error) {
+func CheckScenario(sc scenario.Scenario, cal *app.Calibration, tol Tolerance) (*Report, error) {
 	p, err := scenario.NewProblem(sc, cal)
 	if err != nil {
 		return nil, err
@@ -232,7 +233,7 @@ type SweepConfig struct {
 	Seed int64
 	// Workers bounds the parallel checks; 0 means GOMAXPROCS.
 	Workers int
-	Cal     *casestudy.Calibration
+	Cal     *app.Calibration
 	Tol     Tolerance
 }
 

@@ -62,9 +62,9 @@ func BenchmarkServiceThroughput(b *testing.B) {
 // BenchmarkSupervisedJobOverhead is BenchmarkServiceThroughput/jobs1's
 // workload run with the supervision features armed on every job —
 // MaxRetries budget, a deadline clock, panic recovery, disarmed
-// faultinject hook points — and none of them firing. The jobs/s must
-// stay within ~2% of ServiceThroughput/jobs1: crash-safety is paid for
-// by crashing jobs, not by every healthy one.
+// faultinject hook points — and none of them firing. Compare its jobs/s
+// with ServiceThroughput/jobs1 over repeated runs: crash-safety should be
+// paid for by crashing jobs, not by every healthy one.
 func BenchmarkSupervisedJobOverhead(b *testing.B) {
 	m := newTestManager(b, Config{Workers: 1, QueueLimit: 4})
 	defer m.Close()

@@ -110,16 +110,16 @@ func (g *GoRunner) RunRound(ctx context.Context, req Request, beat Heartbeat) (*
 	opts := dse.Options{
 		Context:   ctx,
 		StopAfter: req.StopAfter,
-		Progress: func(p dse.Progress) {
-			faultinject.IslandBoundary(req.Job.JobID, req.Island, req.Executor, p.Step)
+		Stats: func(s dse.Stats) {
+			faultinject.IslandBoundary(req.Job.JobID, req.Island, req.Executor, s.Step)
 			if beat != nil {
-				beat(p.Step)
+				beat(s.Step)
+			}
+			if g.Stats != nil {
+				g.Stats(req.Island, s)
 			}
 		},
 		Resume: req.Resume,
-	}
-	if g.Stats != nil {
-		opts.Stats = func(s dse.Stats) { g.Stats(req.Island, s) }
 	}
 	var snap *dse.Snapshot
 	opts.Checkpoint = func(s *dse.Snapshot) error { snap = s; return nil }

@@ -761,35 +761,35 @@ func (m *Manager) execute(j *job) (*dse.Result, error) {
 	}
 
 	start := time.Now()
+	j.mu.Lock()
+	sampler := j.sampler
+	j.mu.Unlock()
 	opts := dse.Options{
 		Context: j.runCtx,
-		Progress: func(p dse.Progress) {
-			faultinject.Boundary(j.info.ID, spec.Algorithm, p.Step)
+		Stats: func(st dse.Stats) {
+			faultinject.Boundary(j.info.ID, spec.Algorithm, st.Step)
 			elapsed := time.Since(start).Seconds()
 			info := ProgressInfo{
-				Step:       p.Step,
-				TotalSteps: p.TotalSteps,
-				Evaluated:  p.Evaluated,
-				Infeasible: p.Infeasible,
-				FrontSize:  len(p.Front),
+				Step:       st.Step,
+				TotalSteps: st.TotalSteps,
+				Evaluated:  st.Evaluated,
+				Infeasible: st.Infeasible,
+				FrontSize:  len(st.Front),
 				ElapsedSec: elapsed,
 			}
 			if elapsed > 0 {
-				info.EvalsPerSec = float64(p.Evaluated) / elapsed
+				info.EvalsPerSec = float64(st.Evaluated) / elapsed
 			}
 			j.mu.Lock()
 			j.info.Progress = &info
 			j.mu.Unlock()
 			j.hub.publish(Event{Type: "progress", Progress: &info})
+			if sampler != nil {
+				sampler.observeSearch(st)
+			}
 		},
 		CheckpointEvery: spec.CheckpointEvery,
 		Resume:          resume,
-	}
-	j.mu.Lock()
-	sampler := j.sampler
-	j.mu.Unlock()
-	if sampler != nil {
-		opts.Stats = sampler.observeSearch
 	}
 	// Warm-start resolution happens here — on the worker, not at Submit —
 	// so the seeds reflect the store's contents when the job actually

@@ -84,9 +84,9 @@ func BenchmarkWarmStartSeeding(b *testing.B) {
 		opts := dse.Options{
 			Context:    ctx,
 			SeedPoints: seeds,
-			Progress: func(p dse.Progress) {
-				if p.Step < gens && dse.Hypervolume(p.Front, m.ref) >= target {
-					gens = p.Step
+			Stats: func(st dse.Stats) {
+				if st.Step < gens && dse.Hypervolume(st.Front, m.ref) >= target {
+					gens = st.Step
 					cancel()
 				}
 			},
