@@ -23,8 +23,8 @@ func sameObjs(t *testing.T, label string, c dse.Config, got, want dse.Objectives
 	}
 }
 
-// TestCompiledMatchesReference is the casestudy side of the tentpole
-// guarantee: over a large random sample (plus crafted corner points) the
+// TestCompiledMatchesReference is the casestudy side of the compile
+// equivalence guarantee, on the grouped gene layout: over a large random sample (plus crafted corner points) the
 // compiled evaluator returns bit-identical objectives and identical
 // feasibility — including the infeasibility class — to the reference
 // evaluator.
@@ -74,7 +74,7 @@ func TestCompiledMatchesReference(t *testing.T) {
 	// Invalid configurations must be rejected, not evaluated.
 	for _, c := range []dse.Config{nil, {0}, append(hi.Clone(), 0), func() dse.Config {
 		c := lo.Clone()
-		c[0] = len(problem.BeaconOrders)
+		c[0] = len(problem.Space().Params[0].Values)
 		return c
 	}()} {
 		if _, err := fast.Evaluate(c); err == nil {
@@ -142,7 +142,7 @@ func TestCompiledSearchEquivalence(t *testing.T) {
 	}
 }
 
-// TestCompiledZeroAllocs pins the tentpole's allocation guarantee at the
+// TestCompiledZeroAllocs pins the compiled allocation guarantee at the
 // casestudy level: a forked compiled instance evaluating into caller
 // scratch allocates nothing in steady state.
 func TestCompiledZeroAllocs(t *testing.T) {
