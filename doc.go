@@ -58,8 +58,10 @@
 // The exploration stack runs on a concurrent batch-evaluation runtime
 // (dse.ParallelEvaluator): search algorithms produce candidate
 // configurations sequentially from their seeded RNGs and evaluate them in
-// batches across a bounded worker pool backed by a sharded memo cache.
-// Fronts and evaluation counts are bit-identical at every worker count —
+// batches across a bounded worker pool backed by one mutex-guarded memo
+// table that counts each distinct configuration once, even when two
+// workers race on it. Fronts and evaluation counts are bit-identical at
+// every worker count —
 // parallelism changes wall-clock, never results. The per-figure harnesses
 // in internal/experiments fan out the same way (experiments.RunJobs), and
 // internal/cs builds its per-rate reconstruction dictionaries under a
@@ -80,8 +82,9 @@
 // The arithmetic itself runs on scratch-reuse APIs in core
 // (Network.EvaluateInto, Network.EvaluateWithRatesInto, AssignHeteroInto,
 // Node.EnergyWithRates, and the per-worker core.Workspace), and the batch
-// runtime's memo cache keys on a packed uint64 hash of the gene indices,
-// so steady-state evaluation performs zero heap allocations. Equivalence
+// runtime's memo table keys on a packed uint64 hash of the gene indices
+// and counts each distinct configuration once, so steady-state evaluation
+// performs zero heap allocations. Equivalence
 // tests assert the compiled evaluator returns bit-identical objectives to
 // the reference evaluator for every registered scenario, and for the
 // grouped layout, at worker counts 1 and 8, and testing.AllocsPerRun regression tests pin the hot path at
@@ -90,8 +93,9 @@
 // The pipeline relies on the evaluator determinism/purity contract: an
 // evaluator must be a pure function of the configuration (no hidden
 // state, no randomness, no clock), which is what lets tables be built
-// once, results be memoized process-wide, scratch be reused per worker
-// (dse.Forkable), and fronts stay bit-identical at every worker count.
+// once, results be memoized per search (a miss raced by two workers may
+// run twice, invisibly), scratch be reused per worker (dse.Forkable), and
+// fronts stay bit-identical at every worker count.
 //
 // # Search-layer performance
 //

@@ -47,7 +47,7 @@ func TestBaselineEvaluates(t *testing.T) {
 func TestLift(t *testing.T) {
 	p := casestudy.NewProblem(casestudy.DefaultCalibration())
 	b := New(p)
-	res, err := dse.RandomSearch(p.Space(), b, 300, 5)
+	res, err := dse.RandomSearchOpts(p.Space(), b, 300, 5, 1, dse.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,7 +1,6 @@
 package dse
 
 import (
-	"encoding/json"
 	"fmt"
 	"sort"
 )
@@ -324,31 +323,4 @@ func (s *IslandSnapshot) Clone() *IslandSnapshot {
 		out.Islands[i] = snap.Clone()
 	}
 	return &out
-}
-
-// EncodeIslandSnapshotFile serializes the composite into the same
-// checksummed durable envelope EncodeSnapshotFile uses, so a torn write
-// is detected on read rather than resumed from.
-func EncodeIslandSnapshotFile(snap *IslandSnapshot) ([]byte, error) {
-	raw, err := json.Marshal(snap)
-	if err != nil {
-		return nil, err
-	}
-	return encodeEnvelope(raw)
-}
-
-// DecodeIslandSnapshotFile parses an envelope produced by
-// EncodeIslandSnapshotFile, verifying the checksum before trusting any
-// field. Undecodable bytes and checksum mismatches both return an error
-// wrapping ErrCorruptSnapshot.
-func DecodeIslandSnapshotFile(data []byte) (*IslandSnapshot, error) {
-	raw, err := decodeEnvelope(data)
-	if err != nil {
-		return nil, err
-	}
-	snap := &IslandSnapshot{}
-	if err := json.Unmarshal(raw, snap); err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrCorruptSnapshot, err)
-	}
-	return snap, nil
 }

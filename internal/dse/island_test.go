@@ -269,20 +269,26 @@ func TestIslandSnapshotFileRoundTrip(t *testing.T) {
 	if err := comp.Validate("nsga2", 2, s); err != nil {
 		t.Fatal(err)
 	}
-	data, err := EncodeIslandSnapshotFile(comp)
-	if err != nil {
-		t.Fatal(err)
-	}
-	back, err := DecodeIslandSnapshotFile(data)
-	if err != nil {
-		t.Fatal(err)
+	// The composite persists as one snapfile per island; decoding them
+	// back reassembles an identical composite.
+	back := &IslandSnapshot{Version: comp.Version, Algorithm: comp.Algorithm, Round: comp.Round, Step: comp.Step}
+	for _, isl := range comp.Islands {
+		data, err := EncodeSnapshotFile(isl)
+		if err != nil {
+			t.Fatal(err)
+		}
+		dec, err := DecodeSnapshotFile(data)
+		if err != nil {
+			t.Fatal(err)
+		}
+		back.Islands = append(back.Islands, dec)
+		// A torn tail fails verification with ErrCorruptSnapshot.
+		if _, err := DecodeSnapshotFile(data[:len(data)/2]); !errors.Is(err, ErrCorruptSnapshot) {
+			t.Fatalf("torn file decoded: %v", err)
+		}
 	}
 	if !reflect.DeepEqual(comp, back) {
 		t.Fatal("island snapshot did not round-trip")
-	}
-	// A torn tail fails verification with ErrCorruptSnapshot.
-	if _, err := DecodeIslandSnapshotFile(data[:len(data)/2]); !errors.Is(err, ErrCorruptSnapshot) {
-		t.Fatalf("torn file decoded: %v", err)
 	}
 	// Validation catches the mismatches failover must refuse.
 	if err := comp.Validate("mosa", 2, s); err == nil {

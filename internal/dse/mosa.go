@@ -134,7 +134,6 @@ func MOSAOpts(space *Space, eval Evaluator, cfg MOSAConfig, opts Options) (*Resu
 	segments := (perChain + mosaSegment - 1) / mosaSegment
 	chains := make([]*mosaChain, cfg.Restarts)
 	startSeg := 0
-	var baseEval, baseInf int
 	if opts.Resume != nil {
 		if err := restoreChains(opts.Resume, space, cfg, pe, chains); err != nil {
 			return nil, err
@@ -144,7 +143,6 @@ func MOSAOpts(space *Space, eval Evaluator, cfg MOSAConfig, opts Options) (*Resu
 				opts.Resume.Step, segments, cfg.Iterations, cfg.Restarts)
 		}
 		startSeg = opts.Resume.Step
-		baseEval, baseInf = opts.Resume.Evaluated, opts.Resume.Infeasible
 	} else {
 		seeds := opts.validSeeds(space, cfg.Restarts)
 		for ch := range chains {
@@ -164,10 +162,6 @@ func MOSAOpts(space *Space, eval Evaluator, cfg MOSAConfig, opts Options) (*Resu
 		}
 		return &arch
 	}
-	result := func() *Result {
-		evaluated, infeasible := pe.Stats()
-		return &Result{Front: merged().Points(), Evaluated: baseEval + evaluated, Infeasible: baseInf + infeasible}
-	}
 	for seg := startSeg; seg < segments; seg++ {
 		upTo := (seg + 1) * mosaSegment
 		if upTo > perChain {
@@ -176,15 +170,14 @@ func MOSAOpts(space *Space, eval Evaluator, cfg MOSAConfig, opts Options) (*Resu
 		ForEachWorker(cfg.Restarts, pe.Workers(), func(w, ch int) {
 			chains[ch].run(space, pe, w, upTo)
 		})
-		evaluated, infeasible := pe.Stats()
-		err := opts.boundary("mosa", seg+1, segments, baseEval+evaluated, baseInf+infeasible,
-			pe, func() []Point { return merged().Points() },
-			func() *Snapshot { return snapChains(seg+1, chains, baseEval+evaluated, baseInf+infeasible) })
+		err := opts.boundary("mosa", seg+1, segments, pe,
+			func() []Point { return merged().Points() },
+			func() *Snapshot { return snapChains(chains) })
 		if err != nil {
-			return result(), err
+			return pe.result(merged().Points()), err
 		}
 	}
-	return result(), nil
+	return pe.result(merged().Points()), nil
 }
 
 // mosaChain is one independent annealing chain: a private RNG, the current
@@ -243,14 +236,14 @@ func (c *mosaChain) run(space *Space, pe *ParallelEvaluator, w, upTo int) {
 		} else {
 			space.RandomInto(c.rng, c.buf)
 		}
-		c.cur = pe.evalFor(w, c.buf)
+		c.cur = pe.eval(w, c.buf)
 		c.arch.Add(c.cur)
 		c.curE = c.energy(c.cur)
 		c.started = true
 	}
 	for ; c.iter < upTo; c.iter++ {
 		space.NeighborInto(c.rng, c.buf, c.cur.Config)
-		cand := pe.evalFor(w, c.buf)
+		cand := pe.eval(w, c.buf)
 		c.arch.Add(cand)
 		candE := c.energy(cand)
 		if candE <= c.curE || c.rng.Float64() < math.Exp(-(candE-c.curE)/c.temp) {
@@ -261,15 +254,8 @@ func (c *mosaChain) run(space *Space, pe *ParallelEvaluator, w, upTo int) {
 }
 
 // snapChains captures every chain's state at a segment boundary.
-func snapChains(step int, chains []*mosaChain, evaluated, infeasible int) *Snapshot {
-	snap := &Snapshot{
-		Version:    SnapshotVersion,
-		Algorithm:  "mosa",
-		Step:       step,
-		Chains:     make([]ChainSnap, len(chains)),
-		Evaluated:  evaluated,
-		Infeasible: infeasible,
-	}
+func snapChains(chains []*mosaChain) *Snapshot {
+	snap := &Snapshot{Chains: make([]ChainSnap, len(chains))}
 	for i, c := range chains {
 		snap.Chains[i] = ChainSnap{
 			RNG:     c.src.state,
@@ -283,10 +269,11 @@ func snapChains(step int, chains []*mosaChain, evaluated, infeasible int) *Snaps
 	return snap
 }
 
-// restoreChains rebuilds the chains from a snapshot and primes the memo
-// cache with every archived point.
+// restoreChains rebuilds the chains from a snapshot; the runtime takes
+// over the snapshot's totals and primes its memo table with every chain's
+// current and archived points.
 func restoreChains(snap *Snapshot, space *Space, cfg MOSAConfig, pe *ParallelEvaluator, chains []*mosaChain) error {
-	if err := snap.validateResume("mosa", space); err != nil {
+	if err := pe.resume("mosa", space, snap); err != nil {
 		return err
 	}
 	if len(snap.Chains) != len(chains) {
@@ -294,6 +281,9 @@ func restoreChains(snap *Snapshot, space *Space, cfg MOSAConfig, pe *ParallelEva
 	}
 	for i := range chains {
 		cs := snap.Chains[i]
+		if cs.Iter < 0 {
+			return fmt.Errorf("dse: snapshot chain %d at iteration %d", i, cs.Iter)
+		}
 		c := newMOSAChain(space, cfg, i)
 		c.src.state = cs.RNG
 		c.cur = cs.Cur.point()
@@ -302,10 +292,6 @@ func restoreChains(snap *Snapshot, space *Space, cfg MOSAConfig, pe *ParallelEva
 		c.iter = cs.Iter
 		c.started = true
 		restoreArchive(&c.arch, cs.Archive)
-		pe.prime(c.cur)
-		for _, p := range c.arch.Points() {
-			pe.prime(p)
-		}
 		chains[i] = c
 	}
 	return nil

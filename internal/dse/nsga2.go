@@ -113,15 +113,11 @@ func NSGA2Opts(space *Space, eval Evaluator, cfg NSGA2Config, opts Options) (*Re
 
 	r := newNSGA2Run(space, pe, cfg)
 	startGen := 0
-	var baseEval, baseInf int
 	if opts.Resume != nil {
-		if err := r.restore(opts.Resume, space, src, pe, &arch); err != nil {
+		if err := r.restore(opts.Resume, src, &arch); err != nil {
 			return nil, err
 		}
 		startGen = opts.Resume.Step
-		// Primed cache entries never touch the Stats counters, so the
-		// resumed run's totals are snapshot counts plus fresh evaluations.
-		baseEval, baseInf = opts.Resume.Evaluated, opts.Resume.Infeasible
 	} else {
 		// Seeds fill at most half the initial population: transferred
 		// fronts are often as large as the population itself, and letting
@@ -129,48 +125,38 @@ func NSGA2Opts(space *Space, eval Evaluator, cfg NSGA2Config, opts Options) (*Re
 		// finds regions the donor never reached.
 		r.seed(rng, &arch, opts.validSeeds(space, (cfg.PopulationSize+1)/2))
 	}
-	result := func() *Result {
-		evaluated, infeasible := pe.Stats()
-		return &Result{Front: arch.Points(), Evaluated: baseEval + evaluated, Infeasible: baseInf + infeasible}
-	}
 	for gen := startGen; gen < cfg.Generations; gen++ {
 		r.generation(rng, &arch)
-		evaluated, infeasible := pe.Stats()
-		err := opts.boundary("nsga2", gen+1, cfg.Generations, baseEval+evaluated, baseInf+infeasible,
-			pe, func() []Point { return arch.Points() },
-			func() *Snapshot { return r.snapshot(gen+1, src, &arch, baseEval+evaluated, baseInf+infeasible) })
+		err := opts.boundary("nsga2", gen+1, cfg.Generations, pe,
+			func() []Point { return arch.Points() },
+			func() *Snapshot { return r.snapshot(src, &arch) })
 		if err != nil {
-			return result(), err
+			return pe.result(arch.Points()), err
 		}
 	}
-	return result(), nil
+	return pe.result(arch.Points()), nil
 }
 
 // snapshot captures the run at a generation boundary: the survivors with
 // their carried union ranking, the archive, and the RNG state. Everything
 // is deep-copied — the run keeps recycling its buffers after the call.
-func (r *nsga2Run) snapshot(step int, src *splitMix64, arch *Archive, evaluated, infeasible int) *Snapshot {
+func (r *nsga2Run) snapshot(src *splitMix64, arch *Archive) *Snapshot {
 	n := r.cfg.PopulationSize
 	return &Snapshot{
-		Version:    SnapshotVersion,
-		Algorithm:  "nsga2",
-		Step:       step,
 		RNG:        src.state,
 		Population: snapPoints(r.pop),
 		Ranks:      append([]int(nil), r.ranks[:n]...),
 		Crowd:      append(InfFloats(nil), r.crowd[:n]...),
 		Archive:    snapPoints(arch.Points()),
-		Evaluated:  evaluated,
-		Infeasible: infeasible,
 	}
 }
 
 // restore rebuilds the run from a snapshot: population, carried ranking,
-// archive and RNG state come back bit-exactly, and the snapshot's points
-// prime the memo cache so re-visited configurations are cache hits rather
-// than re-evaluations.
-func (r *nsga2Run) restore(snap *Snapshot, space *Space, src *splitMix64, pe *ParallelEvaluator, arch *Archive) error {
-	if err := snap.validateResume("nsga2", space); err != nil {
+// archive and RNG state come back bit-exactly, and the runtime takes over
+// the snapshot's totals and primes its memo table with the snapshot's
+// points.
+func (r *nsga2Run) restore(snap *Snapshot, src *splitMix64, arch *Archive) error {
+	if err := r.pe.resume("nsga2", r.space, snap); err != nil {
 		return err
 	}
 	n := r.cfg.PopulationSize
@@ -187,12 +173,6 @@ func (r *nsga2Run) restore(snap *Snapshot, space *Space, src *splitMix64, pe *Pa
 	copy(r.ranks, snap.Ranks)
 	copy(r.crowd, snap.Crowd)
 	restoreArchive(arch, snap.Archive)
-	for _, p := range r.pop {
-		pe.prime(p)
-	}
-	for _, p := range arch.Points() {
-		pe.prime(p)
-	}
 	src.state = snap.RNG
 	return nil
 }

@@ -1,42 +1,25 @@
 package dse
 
 import (
+	"fmt"
 	"runtime"
 	"sync"
 	"sync/atomic"
 )
 
-// memoShards is the number of independently locked cache shards. Sharding
-// keeps workers from serializing on one mutex when the evaluator is cheap
-// relative to the cache lookup.
-const memoShards = 64
-
-// memoEntry is one cached evaluation. The goroutine that inserts the entry
-// owns the evaluation; every other goroutine that hits the same
-// configuration blocks on done until the point is filled in. This gives
-// exactly-once evaluation per distinct configuration regardless of
-// scheduling, which is what keeps the Evaluated/Infeasible counts identical
-// at any worker count. Entries hashing to the same uint64 chain through
-// next; cfg disambiguates them, so a hash collision costs a comparison,
-// never a wrong result.
+// memoEntry is one cached evaluation. Entries hashing to the same uint64
+// chain through next; the point's Config disambiguates them, so a hash
+// collision costs a comparison, never a wrong result.
 type memoEntry struct {
-	cfg  Config
-	next *memoEntry
-	done chan struct{}
 	p    Point
-}
-
-type memoShard struct {
-	mu      sync.Mutex
-	entries map[uint64]*memoEntry
+	next *memoEntry
 }
 
 // IntoEvaluator is an Evaluator that can additionally write its objectives
 // into a caller-provided buffer of length NumObjectives(), avoiding the
-// per-call Objectives allocation. Compiled evaluators (casestudy and
-// scenario Compile) implement it; the batch runtime uses it on cache
-// misses so the only steady-state allocations left are the cache entries
-// themselves — one per distinct configuration, ever.
+// per-call Objectives allocation. The scenario compiled evaluator
+// implements it; the batch runtime uses it on misses so the only
+// steady-state allocations left are the memo entries themselves.
 type IntoEvaluator interface {
 	Evaluator
 	EvaluateInto(c Config, objs Objectives) error
@@ -52,28 +35,33 @@ type Forkable interface {
 }
 
 // ParallelEvaluator wraps an Evaluator with a bounded worker pool and a
-// sharded, mutex-guarded memo cache keyed on the configurations' packed
-// uint64 hash. It is the batch-evaluation runtime every search algorithm in
-// this package runs on: the sequential path is simply workers = 1.
+// memo table — one mutex-guarded map keyed on the configurations' packed
+// uint64 hash. It is the batch-evaluation runtime every search algorithm
+// in this package runs on: the sequential path is simply workers = 1.
 //
 // Determinism contract: the wrapped Evaluator must be a pure function of
 // the configuration (every evaluator in this repository is). Under that
 // assumption EvaluateBatch returns bit-identical results in input order at
-// any worker count, each distinct configuration is evaluated exactly once
-// process-wide, and Stats reports scheduling-independent counts.
+// any worker count, and each distinct configuration is counted once: a
+// miss raced by two workers may run the evaluator twice, but only the
+// first result to land is stored and counted, and the loser returns it as
+// a hit. Stats therefore reports scheduling-independent counts.
 //
 // The wrapped Evaluator is called from multiple goroutines concurrently;
 // stateless evaluators need no synchronization of their own, and Forkable
 // evaluators get one private instance per worker.
 type ParallelEvaluator struct {
-	inner      Evaluator
-	perWorker  []Evaluator // perWorker[w] is used only by worker w
-	workers    int
-	nobj       int
-	shards     [memoShards]memoShard
-	evaluated  atomic.Int64
-	infeasible atomic.Int64
-	hits       atomic.Int64
+	perWorker []Evaluator // perWorker[w] is used only by worker w
+	workers   int
+	nobj      int
+
+	mu   sync.Mutex
+	memo map[uint64]*memoEntry
+	// Guarded by mu. resumedEval/resumedInf are the counts a resumed snapshot
+	// carries; evaluated/infeasible/hits are this runtime's own traffic.
+	resumedEval, resumedInf int
+	evaluated, infeasible   int
+	hits                    int64
 }
 
 // NewParallelEvaluator wraps inner with a batch runtime running at most
@@ -82,7 +70,7 @@ func NewParallelEvaluator(inner Evaluator, workers int) *ParallelEvaluator {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	pe := &ParallelEvaluator{inner: inner, workers: workers, nobj: inner.NumObjectives()}
+	pe := &ParallelEvaluator{workers: workers, nobj: inner.NumObjectives(), memo: make(map[uint64]*memoEntry)}
 	pe.perWorker = make([]Evaluator, workers)
 	for w := range pe.perWorker {
 		if f, ok := inner.(Forkable); ok {
@@ -90,9 +78,6 @@ func NewParallelEvaluator(inner Evaluator, workers int) *ParallelEvaluator {
 		} else {
 			pe.perWorker[w] = inner
 		}
-	}
-	for i := range pe.shards {
-		pe.shards[i].entries = make(map[uint64]*memoEntry)
 	}
 	return pe
 }
@@ -104,80 +89,88 @@ func (pe *ParallelEvaluator) Workers() int { return pe.workers }
 // is itself usable wherever an objective count is needed.
 func (pe *ParallelEvaluator) NumObjectives() int { return pe.nobj }
 
-// Eval evaluates one configuration through the cache. Safe for concurrent
-// use; a configuration in flight on another goroutine is waited for, not
-// re-evaluated.
-func (pe *ParallelEvaluator) Eval(c Config) Point {
-	return pe.evalOn(pe.inner, c)
-}
-
-// evalFor evaluates c on worker w's private evaluator instance. The caller
-// must guarantee at most one goroutine uses each w at a time (ForEachWorker
-// does).
-func (pe *ParallelEvaluator) evalFor(w int, c Config) Point {
-	return pe.evalOn(pe.perWorker[w], c)
-}
-
-// evalOn runs the memo-cache protocol around inner. A cache hit allocates
-// nothing: the key is the packed hash, collisions chain through the shard's
-// entries, and the stored Point is returned as-is.
-func (pe *ParallelEvaluator) evalOn(inner Evaluator, c Config) Point {
-	h := c.Hash()
-	sh := &pe.shards[h%memoShards]
-	sh.mu.Lock()
-	head := sh.entries[h]
-	for e := head; e != nil; e = e.next {
-		if e.cfg.Equal(c) {
-			sh.mu.Unlock()
-			pe.hits.Add(1)
-			<-e.done
-			return e.p
+// lookup returns c's memo entry, or nil. The caller holds mu.
+func (pe *ParallelEvaluator) lookup(h uint64, c Config) *memoEntry {
+	for e := pe.memo[h]; e != nil; e = e.next {
+		if e.p.Config.Equal(c) {
+			return e
 		}
 	}
-	e := &memoEntry{cfg: c.Clone(), next: head, done: make(chan struct{})}
-	sh.entries[h] = e
-	sh.mu.Unlock()
+	return nil
+}
 
-	objs, err := pe.evaluate(inner, c)
-	e.p = Point{Config: e.cfg, Objs: objs, Feasible: err == nil}
-	pe.evaluated.Add(1)
-	if err != nil {
-		pe.infeasible.Add(1)
+// eval evaluates c through the memo table on worker w's private evaluator
+// instance; the caller must guarantee at most one goroutine uses each w at
+// a time (ForEachWorker does). A hit allocates nothing. A miss runs the
+// evaluator and builds its entry outside the lock, then inserts it unless
+// another worker got there first, in which case that worker's point wins
+// and this lookup counts as a hit.
+func (pe *ParallelEvaluator) eval(w int, c Config) Point {
+	h := c.Hash()
+	pe.mu.Lock()
+	if e := pe.lookup(h, c); e != nil {
+		pe.hits++
+		pe.mu.Unlock()
+		return e.p
 	}
-	close(e.done)
+	pe.mu.Unlock()
+
+	objs, err := pe.evaluate(pe.perWorker[w], c)
+	e := &memoEntry{p: Point{Config: c.Clone(), Objs: objs, Feasible: err == nil}}
+
+	pe.mu.Lock()
+	defer pe.mu.Unlock()
+	if prev := pe.lookup(h, c); prev != nil {
+		pe.hits++
+		return prev.p
+	}
+	e.next, pe.memo[h] = pe.memo[h], e
+	pe.evaluated++
+	if err != nil {
+		pe.infeasible++
+	}
 	return e.p
 }
 
-// prime inserts an already-evaluated point into the memo cache without
-// touching the Stats counters — how resumed searches rehydrate the results
-// a snapshot carries, so re-drawn configurations are cache hits instead of
-// re-evaluations. A configuration already cached is left as-is.
-func (pe *ParallelEvaluator) prime(p Point) {
-	h := p.Config.Hash()
-	sh := &pe.shards[h%memoShards]
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	head := sh.entries[h]
-	for e := head; e != nil; e = e.next {
-		if e.cfg.Equal(p.Config) {
-			return
+// resume validates a snapshot against the runtime, then takes over its
+// evaluation totals and primes the memo table with every point it
+// carries — population, archive, and each chain's current point and
+// archive — so re-drawn configurations are cache hits instead of
+// re-evaluations. Primed points touch no counter: Stats reports the
+// snapshot's totals plus this runtime's distinct evaluations.
+func (pe *ParallelEvaluator) resume(algo string, space *Space, s *Snapshot) error {
+	if err := s.validateResume(algo, space); err != nil {
+		return err
+	}
+	var points []SnapPoint
+	points = append(points, s.Population...)
+	points = append(points, s.Archive...)
+	for _, ch := range s.Chains {
+		points = append(append(points, ch.Cur), ch.Archive...)
+	}
+	for _, sp := range points {
+		if sp.Feasible && len(sp.Objs) != pe.nobj {
+			return fmt.Errorf("dse: snapshot point %v has %d objectives, evaluator has %d", sp.Config, len(sp.Objs), pe.nobj)
+		}
+		if !sp.Feasible && len(sp.Objs) != 0 {
+			return fmt.Errorf("dse: infeasible snapshot point %v carries objectives", sp.Config)
 		}
 	}
-	done := make(chan struct{})
-	close(done)
-	cfg := p.Config.Clone()
-	sh.entries[h] = &memoEntry{
-		cfg:  cfg,
-		next: head,
-		done: done,
-		p:    Point{Config: cfg, Objs: append(Objectives(nil), p.Objs...), Feasible: p.Feasible},
+	pe.mu.Lock()
+	defer pe.mu.Unlock()
+	pe.resumedEval, pe.resumedInf = s.Evaluated, s.Infeasible
+	for _, sp := range points {
+		if h := sp.Config.Hash(); pe.lookup(h, sp.Config) == nil {
+			pe.memo[h] = &memoEntry{p: sp.point(), next: pe.memo[h]}
+		}
 	}
+	return nil
 }
 
 // evaluate dispatches to the scratch-reuse API when inner provides one.
-// The Objectives buffer it fills is the one stored in the cache entry, so
-// the compiled path's only per-miss allocations are the entry and that
-// buffer — both of which outlive the call by design.
+// The Objectives buffer it fills is the one stored in the memo entry, so
+// the compiled path's only per-miss allocations are the entry, its config
+// clone and that buffer — all of which outlive the call by design.
 func (pe *ParallelEvaluator) evaluate(inner Evaluator, c Config) (Objectives, error) {
 	if ie, ok := inner.(IntoEvaluator); ok {
 		objs := make(Objectives, pe.nobj)
@@ -253,32 +246,42 @@ func (pe *ParallelEvaluator) EvaluateBatchInto(configs []Config, out []Point) []
 	out = out[:len(configs)]
 	if pe.workers <= 1 {
 		for i := range configs {
-			out[i] = pe.evalFor(0, configs[i])
+			out[i] = pe.eval(0, configs[i])
 		}
 		return out
 	}
 	ForEachWorker(len(configs), pe.workers, func(w, i int) {
-		out[i] = pe.evalFor(w, configs[i])
+		out[i] = pe.eval(w, configs[i])
 	})
 	return out
 }
 
 // Stats returns how many distinct configurations have been evaluated and
-// how many of those were infeasible. The counts are scheduling-independent:
-// they depend only on the set of configurations submitted.
+// how many of those were infeasible, including the totals of a resumed
+// snapshot. The counts are scheduling-independent: they depend only on
+// the set of configurations submitted.
 func (pe *ParallelEvaluator) Stats() (evaluated, infeasible int) {
-	return int(pe.evaluated.Load()), int(pe.infeasible.Load())
+	pe.mu.Lock()
+	defer pe.mu.Unlock()
+	return pe.resumedEval + pe.evaluated, pe.resumedInf + pe.infeasible
 }
 
-// CacheStats returns memo-cache traffic: lookups is every evaluation
-// request routed through the cache (hits + distinct evaluations), hits
-// the requests answered without running the evaluator. The hit rate
+// result wraps a search's front with the runtime's totals.
+func (pe *ParallelEvaluator) result(front []Point) *Result {
+	evaluated, infeasible := pe.Stats()
+	return &Result{Front: front, Evaluated: evaluated, Infeasible: infeasible}
+}
+
+// CacheStats returns this runtime's memo traffic: lookups is every
+// evaluation request routed through the table, hits the requests answered
+// without storing a new point, so lookups = hits + distinct evaluations
+// (a resumed snapshot's totals are not lookups). The hit rate
 // hits/lookups is the telemetry signal for how much of the search is
-// revisiting known configurations. Unlike Stats, hits is mildly
-// scheduling-dependent: a configuration raced by two goroutines counts
-// one evaluation and one hit regardless of which wins, but repeated
-// draws of cached points depend only on the search trajectory.
+// revisiting known configurations. Because each distinct configuration
+// is counted once, both counts are scheduling-independent too: a miss
+// raced by two workers counts one evaluation and one hit whichever wins.
 func (pe *ParallelEvaluator) CacheStats() (lookups, hits int64) {
-	h := pe.hits.Load()
-	return h + pe.evaluated.Load(), h
+	pe.mu.Lock()
+	defer pe.mu.Unlock()
+	return pe.hits + int64(pe.evaluated), pe.hits
 }

@@ -65,7 +65,7 @@ func TestEvaluateBatchOrderAndDedup(t *testing.T) {
 
 // TestParallelEvaluatorConcurrentBatches hammers one shared evaluator from
 // many goroutines over an overlapping key set — the -race exercise of the
-// sharded cache.
+// memo table, and of its counted-once contract under raced misses.
 func TestParallelEvaluatorConcurrentBatches(t *testing.T) {
 	s := testSpace(7, 5, 3)
 	pe := NewParallelEvaluator(&convexEvaluator{space: s}, 4)
@@ -87,6 +87,9 @@ func TestParallelEvaluatorConcurrentBatches(t *testing.T) {
 	wg.Wait()
 	if evaluated, _ := pe.Stats(); evaluated != len(all) {
 		t.Errorf("evaluated %d distinct configs, want %d", evaluated, len(all))
+	}
+	if lookups, hits := pe.CacheStats(); lookups != int64(8*len(all)) || lookups-hits != int64(len(all)) {
+		t.Errorf("lookups %d, hits %d: want %d lookups, %d of them misses", lookups, hits, 8*len(all), len(all))
 	}
 }
 
@@ -122,8 +125,9 @@ func (e *countingEvaluator) Evaluate(c Config) (Objectives, error) {
 }
 
 // TestMemoCollisionChain drives hundreds of distinct configurations
-// through the 64-shard cache (so shards carry multi-entry chains) and
-// checks each is evaluated exactly once and keeps its own result.
+// through the memo table and checks each is evaluated exactly once — no
+// configuration repeats within a batch, so no miss is raced — and keeps
+// its own result.
 func TestMemoCollisionChain(t *testing.T) {
 	s := testSpace(6, 6, 6)
 	counting := &countingEvaluator{inner: &convexEvaluator{space: s}}
@@ -243,19 +247,20 @@ func TestIntoEvaluatorDispatch(t *testing.T) {
 	}
 }
 
-// TestEvalCacheHitZeroAllocs pins the memo-cache rework: a cache hit keys
+// TestEvalCacheHitZeroAllocs pins the memo-table design: a cache hit keys
 // on the packed uint64 hash and allocates nothing (the old string key cost
-// one allocation per lookup).
+// one allocation per lookup), so a warmed single-worker batch written
+// into a caller-owned slice performs zero heap allocations.
 func TestEvalCacheHitZeroAllocs(t *testing.T) {
 	s := testSpace(6, 6)
-	pe := NewParallelEvaluator(&convexEvaluator{space: s}, 2)
-	c := Config{3, 4}
-	pe.Eval(c) // warm the cache
+	pe := NewParallelEvaluator(&convexEvaluator{space: s}, 1)
+	batch := []Config{{3, 4}, {0, 5}, {3, 4}}
+	out := pe.EvaluateBatchInto(batch, nil) // warm the cache
 	allocs := testing.AllocsPerRun(500, func() {
-		pe.Eval(c)
+		out = pe.EvaluateBatchInto(batch, out)
 	})
 	if allocs != 0 {
-		t.Fatalf("cache hit allocates %.1f objects, want 0", allocs)
+		t.Fatalf("warmed batch allocates %.1f objects, want 0", allocs)
 	}
 }
 
@@ -305,21 +310,15 @@ func TestMOSAWorkerEquivalence(t *testing.T) {
 func TestExhaustiveWorkerEquivalence(t *testing.T) {
 	s := testSpace(9, 5, 4)
 	eval := &constrainedEvaluator{inner: &convexEvaluator{space: s}}
-	seq, err := ExhaustiveParallel(s, eval, 1000, 1)
+	seq, err := ExhaustiveOpts(s, eval, 1000, 1, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	par, err := ExhaustiveParallel(s, eval, 1000, 8)
+	par, err := ExhaustiveOpts(s, eval, 1000, 8, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	sameResult(t, seq, par, "exhaustive")
-	// And the single-worker wrapper matches too.
-	wrapped, err := Exhaustive(s, eval, 1000)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sameResult(t, seq, wrapped, "exhaustive wrapper")
 }
 
 // TestRandomSearchWorkerEquivalence checks the pre-drawn batch: the RNG
@@ -327,11 +326,11 @@ func TestExhaustiveWorkerEquivalence(t *testing.T) {
 func TestRandomSearchWorkerEquivalence(t *testing.T) {
 	s := testSpace(11, 3)
 	eval := &convexEvaluator{space: s}
-	seq, err := RandomSearchParallel(s, eval, 400, 1, 1)
+	seq, err := RandomSearchOpts(s, eval, 400, 1, 1, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	par, err := RandomSearchParallel(s, eval, 400, 1, 8)
+	par, err := RandomSearchOpts(s, eval, 400, 1, 8, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -8,13 +8,14 @@ import (
 
 // Stats is one search-boundary snapshot, delivered to a StatsSink. The
 // unit of Step depends on the algorithm: NSGA-II counts completed
-// generations, MOSA completed chain segments, Exhaustive and RandomSearch
+// generations, MOSA completed chain segments, exhaustive and random search
 // completed evaluation batches. Front is the archive's own sorted
 // storage — valid only for the duration of the call and strictly
 // read-only — so emitting a Stats allocates nothing on the
 // NSGA-II/exhaustive/random paths. CacheHits/CacheLookups expose the
-// memo cache (lookups = hits + distinct evaluations), the signal that
-// tells an operator whether a search is still discovering or mostly
+// memo table (lookups = hits + distinct evaluations of this run; a
+// resumed run's Evaluated also carries the snapshot's totals), the signal
+// that tells an operator whether a search is still discovering or mostly
 // revisiting.
 type Stats struct {
 	Algorithm    string
@@ -144,10 +145,12 @@ func (o Options) validSeeds(space *Space, max int) []Config {
 // cancellation — in that order, so a cancelled run's latest checkpoint
 // is already durable when the partial result comes back, and a paused
 // run's snapshot is written before ErrPaused surfaces. step is 1-based
-// (boundaries completed); live returns the archive's shared point slice
-// (materialized only when a sink is attached), and snap builds the
-// snapshot lazily and only when one is due.
-func (o Options) boundary(algo string, step, total, evaluated, infeasible int, pe *ParallelEvaluator, live func() []Point, snap func() *Snapshot) error {
+// (boundaries completed); counts come from pe; live returns the archive's
+// shared point slice (materialized only when a sink is attached), and
+// snap builds the snapshot lazily and only when one is due — boundary
+// stamps it with the version, algorithm, step and totals.
+func (o Options) boundary(algo string, step, total int, pe *ParallelEvaluator, live func() []Point, snap func() *Snapshot) error {
+	evaluated, infeasible := pe.Stats()
 	if o.Stats != nil {
 		lookups, hits := pe.CacheStats()
 		o.Stats(Stats{
@@ -165,7 +168,10 @@ func (o Options) boundary(algo string, step, total, evaluated, infeasible int, p
 	if o.Checkpoint != nil {
 		due := o.CheckpointEvery > 0 && step < total && step%o.CheckpointEvery == 0
 		if due || pause {
-			if err := o.Checkpoint(snap()); err != nil {
+			s := snap()
+			s.Version, s.Algorithm, s.Step = SnapshotVersion, algo, step
+			s.Evaluated, s.Infeasible = evaluated, infeasible
+			if err := o.Checkpoint(s); err != nil {
 				return fmt.Errorf("dse: checkpoint at step %d: %w", step, err)
 			}
 		}

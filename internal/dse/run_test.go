@@ -56,7 +56,9 @@ func captureLatest(latest **Snapshot, every int) Options {
 // TestResumeMatchesUninterrupted is the core checkpoint/resume contract on
 // every algorithm: interrupt a run right after a mid-run checkpoint,
 // resume from the serialized snapshot, and the final front is bit-identical
-// to the uninterrupted run's.
+// to the uninterrupted run's. Resuming the same snapshot at 1 and 8
+// workers gives identical results, counts included: the resumed totals
+// live in the batch runtime and must not depend on scheduling.
 func TestResumeMatchesUninterrupted(t *testing.T) {
 	s := testSpace(12, 4, 3)
 	eval := &constrainedEvaluator{inner: &convexEvaluator{space: s}}
@@ -67,24 +69,24 @@ func TestResumeMatchesUninterrupted(t *testing.T) {
 
 	algorithms := []struct {
 		name string
-		run  func(opts Options) (*Result, error)
+		run  func(workers int, opts Options) (*Result, error)
 	}{
-		{"nsga2", func(opts Options) (*Result, error) {
-			return NSGA2Opts(s, eval, NSGA2Config{PopulationSize: 16, Generations: 12, Seed: 9, Workers: 2}, opts)
+		{"nsga2", func(workers int, opts Options) (*Result, error) {
+			return NSGA2Opts(s, eval, NSGA2Config{PopulationSize: 16, Generations: 12, Seed: 9, Workers: workers}, opts)
 		}},
-		{"mosa", func(opts Options) (*Result, error) {
-			return MOSAOpts(s, eval, MOSAConfig{Iterations: 4000, Restarts: 4, Seed: 5, Workers: 2}, opts)
+		{"mosa", func(workers int, opts Options) (*Result, error) {
+			return MOSAOpts(s, eval, MOSAConfig{Iterations: 4000, Restarts: 4, Seed: 5, Workers: workers}, opts)
 		}},
-		{"exhaustive", func(opts Options) (*Result, error) {
-			return ExhaustiveOpts(sBig, evalBig, 1000000, 2, opts)
+		{"exhaustive", func(workers int, opts Options) (*Result, error) {
+			return ExhaustiveOpts(sBig, evalBig, 1000000, workers, opts)
 		}},
-		{"random", func(opts Options) (*Result, error) {
-			return RandomSearchOpts(s, eval, 3000, 7, 2, opts)
+		{"random", func(workers int, opts Options) (*Result, error) {
+			return RandomSearchOpts(s, eval, 3000, 7, workers, opts)
 		}},
 	}
 	for _, alg := range algorithms {
 		t.Run(alg.name, func(t *testing.T) {
-			want, err := alg.run(Options{})
+			want, err := alg.run(2, Options{})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -106,7 +108,7 @@ func TestResumeMatchesUninterrupted(t *testing.T) {
 					return nil
 				},
 			}
-			partial, err := alg.run(opts)
+			partial, err := alg.run(2, opts)
 			if !errors.Is(err, context.Canceled) {
 				t.Fatalf("interrupted run returned %v, want context.Canceled", err)
 			}
@@ -120,7 +122,7 @@ func TestResumeMatchesUninterrupted(t *testing.T) {
 				t.Fatalf("snapshot algorithm %q, want %q", snap.Algorithm, alg.name)
 			}
 
-			got, err := alg.run(Options{Resume: roundTrip(t, snap)})
+			got, err := alg.run(1, Options{Resume: roundTrip(t, snap)})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -128,6 +130,11 @@ func TestResumeMatchesUninterrupted(t *testing.T) {
 			if got.Evaluated < len(want.Front) {
 				t.Fatalf("resumed Evaluated=%d implausibly small", got.Evaluated)
 			}
+			par, err := alg.run(8, Options{Resume: roundTrip(t, snap)})
+			if err != nil {
+				t.Fatal(err)
+			}
+			sameResult(t, got, par, alg.name+" resume at 1 vs 8 workers")
 		})
 	}
 }
@@ -228,6 +235,12 @@ func TestSnapshotResumeValidation(t *testing.T) {
 	if _, err := NSGA2Opts(s, eval, NSGA2Config{PopulationSize: 8, Generations: 6, Seed: 1}, Options{Resume: bad}); err == nil {
 		t.Error("out-of-space config accepted")
 	}
+	// A negative step would replay generations before the first.
+	bad = roundTrip(t, snap)
+	bad.Step = -1000
+	if _, err := NSGA2Opts(s, eval, NSGA2Config{PopulationSize: 8, Generations: 6, Seed: 1}, Options{Resume: bad}); err == nil {
+		t.Error("negative step accepted")
+	}
 
 	// MOSA must reject a snapshot from a longer run than the resuming
 	// config allows, instead of silently returning the restored archives.
@@ -238,6 +251,11 @@ func TestSnapshotResumeValidation(t *testing.T) {
 	}
 	if msnap == nil {
 		t.Fatal("no MOSA snapshot captured")
+	}
+	bad = roundTrip(t, msnap)
+	bad.Chains[0].Iter = -1
+	if _, err := MOSAOpts(s, eval, MOSAConfig{Iterations: 4000, Restarts: 4, Seed: 2}, Options{Resume: bad}); err == nil {
+		t.Error("MOSA accepted a chain at a negative iteration")
 	}
 	msnap.Step = 99
 	if _, err := MOSAOpts(s, eval, MOSAConfig{Iterations: 4000, Restarts: 4, Seed: 2}, Options{Resume: msnap}); err == nil {

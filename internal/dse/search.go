@@ -12,27 +12,16 @@ type Result struct {
 	Infeasible int // of those, how many violated constraints
 }
 
-// exhaustiveBatch is how many configurations Exhaustive hands to the
+// exhaustiveBatch is how many configurations ExhaustiveOpts hands to the
 // worker pool at a time: large enough to amortize dispatch, small enough
 // that the archive merge interleaves with evaluation.
 const exhaustiveBatch = 1024
 
-// Exhaustive enumerates the whole space on a single worker. It refuses
-// spaces larger than maxPoints to protect callers from accidental
-// 10¹¹-point sweeps.
-func Exhaustive(space *Space, eval Evaluator, maxPoints int) (*Result, error) {
-	return ExhaustiveParallel(space, eval, maxPoints, 1)
-}
-
-// ExhaustiveParallel enumerates the whole space, evaluating batches of
-// configurations across the worker pool (workers <= 0 selects GOMAXPROCS).
-// Enumeration order, the resulting front, and the counts are identical at
-// any worker count.
-func ExhaustiveParallel(space *Space, eval Evaluator, maxPoints, workers int) (*Result, error) {
-	return ExhaustiveOpts(space, eval, maxPoints, workers, Options{})
-}
-
-// ExhaustiveOpts is ExhaustiveParallel under run Options: progress,
+// ExhaustiveOpts enumerates the whole space, evaluating batches of
+// configurations across the worker pool (workers <= 0 selects GOMAXPROCS),
+// and refuses spaces larger than maxPoints to protect callers from
+// accidental 10¹¹-point sweeps. Enumeration order, the resulting front,
+// and the counts are identical at any worker count. Progress,
 // checkpointing and cancellation hook in at batch boundaries (every
 // exhaustiveBatch configurations). Snapshots record how far the
 // lexicographic enumeration got (Snapshot.Next), so a resumed sweep skips
@@ -50,24 +39,15 @@ func ExhaustiveOpts(space *Space, eval Evaluator, maxPoints, workers int, opts O
 	total := int(space.Size())
 	totalBatches := (total + exhaustiveBatch - 1) / exhaustiveBatch
 	skip := 0
-	var baseEval, baseInf int
 	if opts.Resume != nil {
-		if err := opts.Resume.validateResume("exhaustive", space); err != nil {
+		if err := pe.resume("exhaustive", space, opts.Resume); err != nil {
 			return nil, err
 		}
 		if opts.Resume.Next > total {
 			return nil, fmt.Errorf("dse: snapshot consumed %d of %d points", opts.Resume.Next, total)
 		}
 		skip = opts.Resume.Next
-		baseEval, baseInf = opts.Resume.Evaluated, opts.Resume.Infeasible
 		restoreArchive(&arch, opts.Resume.Archive)
-		for _, p := range arch.Points() {
-			pe.prime(p)
-		}
-	}
-	result := func() *Result {
-		evaluated, infeasible := pe.Stats()
-		return &Result{Front: arch.Points(), Evaluated: baseEval + evaluated, Infeasible: baseInf + infeasible}
 	}
 	batch := make([]Config, 0, exhaustiveBatch)
 	flush := func() {
@@ -87,45 +67,29 @@ func ExhaustiveOpts(space *Space, eval Evaluator, maxPoints, workers int, opts O
 		batch = append(batch, c.Clone())
 		if len(batch) == exhaustiveBatch {
 			flush()
-			step := idx / exhaustiveBatch
-			evaluated, infeasible := pe.Stats()
 			consumed := idx
-			stopErr = opts.boundary("exhaustive", step, totalBatches, baseEval+evaluated, baseInf+infeasible,
-				pe, func() []Point { return arch.Points() },
-				func() *Snapshot {
-					return &Snapshot{
-						Version: SnapshotVersion, Algorithm: "exhaustive", Step: step, Next: consumed,
-						Archive: snapPoints(arch.Points()), Evaluated: baseEval + evaluated, Infeasible: baseInf + infeasible,
-					}
-				})
+			stopErr = opts.boundary("exhaustive", idx/exhaustiveBatch, totalBatches, pe,
+				func() []Point { return arch.Points() },
+				func() *Snapshot { return &Snapshot{Next: consumed, Archive: snapPoints(arch.Points())} })
 			return stopErr == nil
 		}
 		return true
 	})
 	if stopErr != nil {
-		return result(), stopErr
+		return pe.result(arch.Points()), stopErr
 	}
 	flush()
-	return result(), nil
+	return pe.result(arch.Points()), nil
 }
 
-// RandomSearch evaluates `budget` uniform random configurations on a single
-// worker — the reference any metaheuristic must beat.
-func RandomSearch(space *Space, eval Evaluator, budget int, seed int64) (*Result, error) {
-	return RandomSearchParallel(space, eval, budget, seed, 1)
-}
-
-// RandomSearchParallel draws the budget from one seeded stream in batches
-// of exhaustiveBatch and evaluates each batch across the worker pool
-// (workers <= 0 selects GOMAXPROCS). The draw sequence, front, and counts
-// are identical at any worker count; revisited configurations are
-// deduplicated by the memo cache so Evaluated means distinct points.
-func RandomSearchParallel(space *Space, eval Evaluator, budget int, seed int64, workers int) (*Result, error) {
-	return RandomSearchOpts(space, eval, budget, seed, workers, Options{})
-}
-
-// RandomSearchOpts is RandomSearchParallel under run Options: progress,
-// checkpointing and cancellation hook in at batch boundaries. Snapshots
+// RandomSearchOpts evaluates `budget` uniform random configurations — the
+// reference any metaheuristic must beat. It draws the budget from one
+// seeded stream in batches of exhaustiveBatch and evaluates each batch
+// across the worker pool (workers <= 0 selects GOMAXPROCS). The draw
+// sequence, front, and counts are identical at any worker count;
+// revisited configurations are deduplicated by the memo table so
+// Evaluated means distinct points. Progress, checkpointing and
+// cancellation hook in at batch boundaries. Snapshots
 // record the RNG state and draws consumed, so a resumed search continues
 // the identical draw stream. On cancellation the partial Result is
 // returned together with ctx.Err().
@@ -140,25 +104,16 @@ func RandomSearchOpts(space *Space, eval Evaluator, budget int, seed int64, work
 	pe := NewParallelEvaluator(eval, workers)
 	var arch Archive
 	drawn := 0
-	var baseEval, baseInf int
 	if opts.Resume != nil {
-		if err := opts.Resume.validateResume("random", space); err != nil {
+		if err := pe.resume("random", space, opts.Resume); err != nil {
 			return nil, err
 		}
 		if opts.Resume.Next > budget {
 			return nil, fmt.Errorf("dse: snapshot consumed %d of %d draws", opts.Resume.Next, budget)
 		}
 		drawn = opts.Resume.Next
-		baseEval, baseInf = opts.Resume.Evaluated, opts.Resume.Infeasible
 		restoreArchive(&arch, opts.Resume.Archive)
-		for _, p := range arch.Points() {
-			pe.prime(p)
-		}
 		src.state = opts.Resume.RNG
-	}
-	result := func() *Result {
-		evaluated, infeasible := pe.Stats()
-		return &Result{Front: arch.Points(), Evaluated: baseEval + evaluated, Infeasible: baseInf + infeasible}
 	}
 	totalBatches := (budget + exhaustiveBatch - 1) / exhaustiveBatch
 	configs := make([]Config, 0, exhaustiveBatch)
@@ -177,20 +132,13 @@ func RandomSearchOpts(space *Space, eval Evaluator, budget int, seed int64, work
 		for _, p := range points {
 			arch.Add(p)
 		}
-		step := (drawn + exhaustiveBatch - 1) / exhaustiveBatch
-		evaluated, infeasible := pe.Stats()
 		consumed := drawn
-		err := opts.boundary("random", step, totalBatches, baseEval+evaluated, baseInf+infeasible,
-			pe, func() []Point { return arch.Points() },
-			func() *Snapshot {
-				return &Snapshot{
-					Version: SnapshotVersion, Algorithm: "random", Step: step, RNG: src.state, Next: consumed,
-					Archive: snapPoints(arch.Points()), Evaluated: baseEval + evaluated, Infeasible: baseInf + infeasible,
-				}
-			})
+		err := opts.boundary("random", (drawn+exhaustiveBatch-1)/exhaustiveBatch, totalBatches, pe,
+			func() []Point { return arch.Points() },
+			func() *Snapshot { return &Snapshot{RNG: src.state, Next: consumed, Archive: snapPoints(arch.Points())} })
 		if err != nil {
-			return result(), err
+			return pe.result(arch.Points()), err
 		}
 	}
-	return result(), nil
+	return pe.result(arch.Points()), nil
 }

@@ -110,12 +110,14 @@ func TestMutationAndNeighborStayValid(t *testing.T) {
 	s := testSpace(5, 1, 4)
 	rng := rand.New(rand.NewSource(2))
 	c := s.Random(rng)
+	m, n := make(Config, len(c)), make(Config, len(c))
 	for i := 0; i < 200; i++ {
-		m := s.Mutate(rng, c, 0.5)
+		copy(m, c)
+		s.MutateInPlace(rng, m, 0.5)
 		if !s.Valid(m) {
 			t.Fatalf("mutation produced invalid config %v", m)
 		}
-		n := s.Neighbor(rng, c)
+		s.NeighborInto(rng, n, c)
 		if !s.Valid(n) {
 			t.Fatalf("neighbor produced invalid config %v", n)
 		}
@@ -132,8 +134,9 @@ func TestMutationAndNeighborStayValid(t *testing.T) {
 	}
 	// Crossover mixes genes from both parents only.
 	a, b := Config{0, 0, 0}, Config{4, 0, 3}
+	child := make(Config, len(a))
 	for i := 0; i < 50; i++ {
-		child := s.Crossover(rng, a, b)
+		s.CrossoverInto(rng, child, a, b)
 		for j := range child {
 			if child[j] != a[j] && child[j] != b[j] {
 				t.Fatalf("crossover invented gene %d=%d", j, child[j])
@@ -145,7 +148,7 @@ func TestMutationAndNeighborStayValid(t *testing.T) {
 func TestExhaustiveFindsTrueFront(t *testing.T) {
 	s := testSpace(11, 3)
 	eval := &convexEvaluator{space: s}
-	res, err := Exhaustive(s, eval, 1000)
+	res, err := ExhaustiveOpts(s, eval, 1000, 1, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -162,7 +165,7 @@ func TestExhaustiveFindsTrueFront(t *testing.T) {
 		}
 	}
 	// Refuses oversized spaces.
-	if _, err := Exhaustive(s, eval, 10); err == nil {
+	if _, err := ExhaustiveOpts(s, eval, 10, 1, Options{}); err == nil {
 		t.Error("oversize exhaustive accepted")
 	}
 }
@@ -170,7 +173,7 @@ func TestExhaustiveFindsTrueFront(t *testing.T) {
 func TestRandomSearchAndMemo(t *testing.T) {
 	s := testSpace(11, 3)
 	eval := &convexEvaluator{space: s}
-	res, err := RandomSearch(s, eval, 500, 1)
+	res, err := RandomSearchOpts(s, eval, 500, 1, 1, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -181,7 +184,7 @@ func TestRandomSearchAndMemo(t *testing.T) {
 	if len(res.Front) == 0 {
 		t.Error("empty front")
 	}
-	if _, err := RandomSearch(s, eval, 0, 1); err == nil {
+	if _, err := RandomSearchOpts(s, eval, 0, 1, 1, Options{}); err == nil {
 		t.Error("zero budget accepted")
 	}
 }
@@ -288,7 +291,7 @@ func TestNSGA2AndMOSAEquivalentQuality(t *testing.T) {
 		t.Errorf("GA and SA hypervolumes differ substantially: %g vs %g", hvGA, hvSA)
 	}
 	// And both beat random search at comparable budget.
-	rs, err := RandomSearch(s, eval, ga.Evaluated, 1)
+	rs, err := RandomSearchOpts(s, eval, ga.Evaluated, 1, 1, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

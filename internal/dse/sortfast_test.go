@@ -221,17 +221,17 @@ func TestMOSAChainSteadyStateZeroAllocs(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	buf := make(Config, len(s.Params))
 	s.RandomInto(rng, buf)
-	cur := pe.evalFor(0, buf)
+	cur := pe.eval(0, buf)
 	arch.Add(cur)
 	for i := 0; i < 500; i++ { // saturate cache and archive
 		s.NeighborInto(rng, buf, cur.Config)
-		cand := pe.evalFor(0, buf)
+		cand := pe.eval(0, buf)
 		arch.Add(cand)
 		cur = cand
 	}
 	allocs := testing.AllocsPerRun(200, func() {
 		s.NeighborInto(rng, buf, cur.Config)
-		cand := pe.evalFor(0, buf)
+		cand := pe.eval(0, buf)
 		arch.Add(cand)
 		cur = cand
 	})

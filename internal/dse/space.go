@@ -12,12 +12,12 @@
 // # Batch-evaluation runtime
 //
 // Every search algorithm runs on ParallelEvaluator, a bounded worker pool
-// over a sharded, mutex-guarded memo cache. Candidate configurations are
+// over one mutex-guarded memo table. Candidate configurations are
 // produced sequentially from the algorithm's seeded RNG and handed to
 // EvaluateBatch, which fans them across the pool and returns points in
-// input order; each distinct configuration is evaluated exactly once no
-// matter how many workers race for it, so Result.Evaluated keeps meaning
-// distinct points.
+// input order; each distinct configuration is counted once no matter how
+// many workers race for it, so Result.Evaluated keeps meaning distinct
+// points.
 //
 // # Determinism guarantees
 //
@@ -27,19 +27,18 @@
 // derives each offspring population from the parent generation alone and
 // archives it in offspring order, MOSA gives each chain a seed mixed from
 // (Seed, chain index) and a private guiding archive and merges the chain
-// archives in chain order, and Exhaustive/RandomSearch archive their
+// archives in chain order, and exhaustive/random search archive their
 // batches in enumeration/draw order. Archive merging is additionally
 // order-independent at the objective level: the set of non-dominated
 // objective vectors does not depend on insertion order.
 //
 // # Run options: cancellation, progress, checkpoint/resume
 //
-// Every algorithm has an Opts variant (NSGA2Opts, MOSAOpts,
-// ExhaustiveOpts, RandomSearchOpts) taking an Options value whose hooks
-// run at boundaries only — the end of a generation (NSGA-II), a chain
+// Every algorithm runs under an Options value (NSGA2Opts, MOSAOpts,
+// ExhaustiveOpts, RandomSearchOpts) whose hooks run at boundaries only — the end of a generation (NSGA-II), a chain
 // segment (MOSA) or an evaluation batch (exhaustive/random) — so the
 // allocation-free hot loops never see them and a zero Options run is
-// bit-identical to the plain entry point. Cancellation returns the
+// bit-identical to the plain NSGA2/MOSA entry point. Cancellation returns the
 // partial Result alongside ctx.Err(); StatsSink receives step counters,
 // the live front and memo-cache counters; CheckpointFunc receives self-contained, JSON-
 // serializable Snapshots. The search RNG draws from a SplitMix64

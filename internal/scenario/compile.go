@@ -2,6 +2,7 @@ package scenario
 
 import (
 	"fmt"
+	"sync"
 
 	"wsndse/internal/app"
 	"wsndse/internal/core"
@@ -109,14 +110,42 @@ func (p *Problem) Compile() (*Compiled, error) {
 // Evaluator returns the compiled three-objective evaluator: minimize
 // (E_net [W], quality loss, delay_net [s]), bit-identical to
 // Problem.Evaluator() but allocation-free in steady state. It is safe for
-// concurrent use and implements dse.IntoEvaluator and dse.Forkable, so
-// the batch runtime gives each worker a private scratch instance.
+// concurrent use — ad-hoc callers are served from a sync.Pool of
+// evaluation contexts — and implements dse.IntoEvaluator and dse.Forkable,
+// so the batch runtime gives each worker a private context.
 func (t *Compiled) Evaluator() dse.Evaluator {
-	return dse.NewPooledForkable(3, func() dse.EvalInto { return newCompiledEval(t).EvaluateInto })
+	return &pooledEval{t: t, pool: sync.Pool{New: func() any { return newCompiledEval(t) }}}
 }
 
+// pooledEval is the concurrency-safe front of the compiled pipeline.
+type pooledEval struct {
+	t    *Compiled
+	pool sync.Pool // of *compiledEval
+}
+
+// NumObjectives implements dse.Evaluator.
+func (p *pooledEval) NumObjectives() int { return 3 }
+
+// Evaluate implements dse.Evaluator on a pooled context.
+func (p *pooledEval) Evaluate(c dse.Config) (dse.Objectives, error) {
+	e := p.pool.Get().(*compiledEval)
+	defer p.pool.Put(e)
+	return e.Evaluate(c)
+}
+
+// EvaluateInto implements dse.IntoEvaluator on a pooled context.
+func (p *pooledEval) EvaluateInto(c dse.Config, objs dse.Objectives) error {
+	e := p.pool.Get().(*compiledEval)
+	defer p.pool.Put(e)
+	return e.EvaluateInto(c, objs)
+}
+
+// Fork implements dse.Forkable: a private context for one worker.
+func (p *pooledEval) Fork() dse.Evaluator { return newCompiledEval(p.t) }
+
 // compiledEval is one evaluation context: the shared immutable tables plus
-// a private core.Workspace. Not safe for concurrent use.
+// a private core.Workspace. It implements dse.IntoEvaluator but is not
+// safe for concurrent use.
 type compiledEval struct {
 	t  *Compiled
 	ws *core.Workspace
@@ -141,7 +170,19 @@ func newCompiledEval(t *Compiled) *compiledEval {
 	return &compiledEval{t: t, ws: ws}
 }
 
-// EvaluateInto is the dse.EvalInto context surface: table lookups re-point the
+// NumObjectives implements dse.Evaluator.
+func (e *compiledEval) NumObjectives() int { return 3 }
+
+// Evaluate implements dse.Evaluator.
+func (e *compiledEval) Evaluate(c dse.Config) (dse.Objectives, error) {
+	objs := make(dse.Objectives, 3)
+	if err := e.EvaluateInto(c, objs); err != nil {
+		return nil, err
+	}
+	return objs, nil
+}
+
+// EvaluateInto implements dse.IntoEvaluator: table lookups re-point the
 // workspace at the configuration's pre-built MAC, views and applications,
 // then the shared core arithmetic runs on reused scratch. Error order
 // matches the reference evaluator: base MAC first, then per-node checks in

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 
@@ -310,6 +311,44 @@ func TestMOSACheckpointResume(t *testing.T) {
 	}
 	if !reflect.DeepEqual(want.Front, got.Front) {
 		t.Fatalf("resumed MOSA front differs:\nwant %+v\ngot  %+v", want.Front, got.Front)
+	}
+}
+
+// TestResumeWrongObjectiveCount is the service face of the resume
+// objective check: a resume snapshot whose archive points carry too few
+// objectives is accepted (Submit checks only the envelope), and every
+// attempt then fails with the resume error — no panic, so no PanicError
+// stack in the job's error.
+func TestResumeWrongObjectiveCount(t *testing.T) {
+	m := newTestManager(t, fastRetry(Config{Workers: 1}))
+	defer m.Close()
+	spec := smallNSGA2("ecg-ward", 7)
+	spec.CheckpointEvery = 1
+	src, err := m.Submit(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitDone(t, m, src.ID)
+	snap, err := m.Checkpoint(src.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bad := snap.Clone()
+	for i := range bad.Archive {
+		bad.Archive[i].Objs = bad.Archive[i].Objs[:1]
+	}
+	spec.Resume = bad
+	spec.MaxRetries = 1
+	job, err := m.Submit(spec)
+	if err != nil {
+		t.Fatalf("resume envelope refused at submit: %v", err)
+	}
+	info := waitDone(t, m, job.ID)
+	if info.Status != StatusFailed || info.Attempts != 2 {
+		t.Fatalf("status %s after %d attempts, want failed after 2", info.Status, info.Attempts)
+	}
+	if !strings.Contains(info.Error, "has 1 objectives, evaluator has 3") || strings.HasPrefix(info.Error, "panic:") {
+		t.Fatalf("job error %q, want the resume objective-count error", info.Error)
 	}
 }
 
