@@ -111,9 +111,8 @@ func AssignHeteroInto(a *Assignment, base MAC, views []MAC, phiOut []units.Bytes
 		a.Used += a.DeltaTx[i]
 	}
 	if a.Used > capacity+1e-12 {
-		return Infeasible(
-			"transmission demand %.6f s/s exceeds MAC %q capacity %.6f s/s (N=%d nodes)",
-			a.Used, base.Name(), capacity, len(phiOut))
+		return &InfeasibleError{kind: capacityOverrun, name: base.Name(),
+			value: a.Used, limit: capacity, count: len(phiOut)}
 	}
 	a.Idle = 1 - a.Used - a.ControlTime
 	if a.Idle < 0 {

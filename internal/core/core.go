@@ -100,16 +100,53 @@ type DelayBound interface {
 // protocol constraint: duty cycle above 100 %, GTS capacity exhausted,
 // memory footprint beyond the platform, and so on. The DSE layer treats
 // these as constraint violations rather than hard failures.
+//
+// A quarter or more of the configurations a search visits are infeasible,
+// and the search never reads why, so the three hot checks (duty cycle,
+// RAM, GTS capacity) record their raw operands and Error formats them
+// only when called. Cold callers use Infeasible.
 type InfeasibleError struct {
-	Reason string
+	kind   infeasibleKind
+	reason string      // formatted: the text Infeasible built
+	name   string      // duty, RAM: node name; capacity: MAC name
+	app    string      // duty: application name
+	value  float64     // duty: duty cycle; RAM: working set [B]; capacity: used [s/s]
+	limit  float64     // capacity: capacity [s/s]
+	freq   units.Hertz // duty: f_µC
+	count  int         // RAM: RAM size [B]; capacity: number of nodes
 }
 
+type infeasibleKind uint8
+
+const (
+	formatted infeasibleKind = iota
+	dutyOverrun
+	ramOverrun
+	capacityOverrun
+)
+
 // Error implements the error interface.
-func (e *InfeasibleError) Error() string { return "core: infeasible configuration: " + e.Reason }
+func (e *InfeasibleError) Error() string {
+	var reason string
+	switch e.kind {
+	case dutyOverrun:
+		reason = fmt.Sprintf("node %q: application %q duty cycle %.1f%% exceeds 100%% at f_µC=%v",
+			e.name, e.app, e.value*100, e.freq)
+	case ramOverrun:
+		reason = fmt.Sprintf("node %q: application working set %.0f B exceeds %d B RAM",
+			e.name, e.value, e.count)
+	case capacityOverrun:
+		reason = fmt.Sprintf("transmission demand %.6f s/s exceeds MAC %q capacity %.6f s/s (N=%d nodes)",
+			e.value, e.name, e.limit, e.count)
+	default:
+		reason = e.reason
+	}
+	return "core: infeasible configuration: " + reason
+}
 
 // Infeasible builds an InfeasibleError with formatting.
 func Infeasible(format string, args ...any) error {
-	return &InfeasibleError{Reason: fmt.Sprintf(format, args...)}
+	return &InfeasibleError{kind: formatted, reason: fmt.Sprintf(format, args...)}
 }
 
 // IsInfeasible reports whether err marks an infeasible configuration.

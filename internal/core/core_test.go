@@ -82,6 +82,45 @@ func TestInfeasibleError(t *testing.T) {
 	if !IsInfeasible(wrapped) {
 		t.Error("wrapped infeasible not detected")
 	}
+	if got, want := err.Error(), "core: infeasible configuration: reason 42"; got != want {
+		t.Errorf("Infeasible text = %q, want %q", got, want)
+	}
+
+	// The three hot checks record raw operands and format on Error; the
+	// text must stay exactly what the fmt-at-the-site versions produced.
+	ramBound := testNode(t, "cs-1", "cs", 0.5, 8e6)
+	ramBound.Platform.Memory.SizeBytes = 512
+	cases := []struct {
+		name string
+		run  func() error
+		want string
+	}{
+		{"duty cycle", func() error {
+			_, err := testNode(t, "dwt-0", "dwt", 0.23, 1e6).Energy(testMAC(t, 3, 2, 48, 1))
+			return err
+		}, `core: infeasible configuration: node "dwt-0": application "dwt" duty cycle 226.6% exceeds 100% at f_µC=1MHz`},
+		{"RAM", func() error {
+			_, err := ramBound.Energy(testMAC(t, 3, 2, 48, 1))
+			return err
+		}, `core: infeasible configuration: node "cs-1": application working set 1536 B exceeds 512 B RAM`},
+		{"GTS capacity", func() error {
+			short := testMAC(t, 1, 0, 16, 3)
+			_, err := AssignHetero(testMAC(t, 1, 0, 102, 3), []MAC{short, short, short},
+				[]units.BytesPerSecond{300, 300, 300})
+			return err
+		}, `core: infeasible configuration: transmission demand 0.281250 s/s exceeds MAC "ieee802.15.4-gts" capacity 0.218750 s/s (N=3 nodes)`},
+	}
+	for _, tc := range cases {
+		err := tc.run()
+		var ie *InfeasibleError
+		if !errors.As(fmt.Errorf("wrapped: %w", err), &ie) || !IsInfeasible(err) {
+			t.Errorf("%s: want *InfeasibleError, got %v", tc.name, err)
+			continue
+		}
+		if got := err.Error(); got != tc.want {
+			t.Errorf("%s:\n got %q\nwant %q", tc.name, got, tc.want)
+		}
+	}
 }
 
 func TestNodeRates(t *testing.T) {

@@ -4,6 +4,7 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"strings"
 	"testing"
 
 	"wsndse/internal/casestudy"
@@ -178,6 +179,64 @@ func TestCompiledZeroAllocsScenario(t *testing.T) {
 		})
 		if allocs != 0 {
 			t.Fatalf("%s: compiled EvaluateInto allocates %.1f objects per call in steady state, want 0", name, allocs)
+		}
+	}
+}
+
+// TestCompiledInfeasibleSteadyStateAllocs pins the cost of a rejected
+// configuration: the hot infeasibility checks (GTS capacity in Assign,
+// duty cycle in the node model) build their error without formatting, so
+// an infeasible compiled EvaluateInto allocates at most the error itself.
+func TestCompiledInfeasibleSteadyStateAllocs(t *testing.T) {
+	classes := map[string]string{
+		"GTS capacity": "exceeds MAC",
+		"duty cycle":   "duty cycle",
+	}
+	for _, name := range []string{"ecg-ward", "mixed-ward"} {
+		sc, ok := scenario.Lookup(name)
+		if !ok {
+			t.Fatalf("%s not registered", name)
+		}
+		problem, err := scenario.NewProblem(sc, casestudy.DefaultCalibration())
+		if err != nil {
+			t.Fatal(err)
+		}
+		compiled, err := problem.Compile()
+		if err != nil {
+			t.Fatal(err)
+		}
+		eval := compiled.Evaluator().(dse.Forkable).Fork().(dse.IntoEvaluator)
+		objs := make(dse.Objectives, 3)
+
+		// Find one configuration per class by its message (formatting is
+		// fine here, outside the measured loop).
+		found := map[string]dse.Config{}
+		rng := rand.New(rand.NewSource(5))
+		for i := 0; i < 20000 && len(found) < len(classes); i++ {
+			c := problem.Space().Random(rng)
+			err := eval.EvaluateInto(c, objs)
+			if !core.IsInfeasible(err) {
+				continue
+			}
+			for class, marker := range classes {
+				if _, done := found[class]; !done && strings.Contains(err.Error(), marker) {
+					found[class] = c
+				}
+			}
+		}
+		for class := range classes {
+			cfg, ok := found[class]
+			if !ok {
+				t.Fatalf("%s: no %s-infeasible configuration found", name, class)
+			}
+			var err error
+			allocs := testing.AllocsPerRun(500, func() { err = eval.EvaluateInto(cfg, objs) })
+			if !core.IsInfeasible(err) {
+				t.Fatalf("%s %v: want infeasible, got %v", name, cfg, err)
+			}
+			if allocs > 1 {
+				t.Errorf("%s, %s: infeasible EvaluateInto allocates %.1f objects per call, want ≤ 1", name, class, allocs)
+			}
 		}
 	}
 }

@@ -27,7 +27,8 @@ const fingerprintVersion = "wsndse/scenario/v1"
 // The contract the registry tests pin: fingerprints are stable across
 // processes (no map iteration, no addresses, exact float encoding), and
 // Lookup-after-Register returns a scenario with an identical fingerprint
-// (the registry's deep clones are content-preserving).
+// (the registry's deep clones are content-preserving). Callers holding a
+// registered name read FingerprintOf, which hashes each entry once.
 func (s Scenario) Fingerprint() string {
 	h := sha256.New()
 	fmt.Fprintf(h, "%s\nnodes %d\n", fingerprintVersion, len(s.Nodes))

@@ -11,8 +11,18 @@ import (
 // their own.
 var registry = struct {
 	mu     sync.RWMutex
-	byName map[string]Scenario
-}{byName: map[string]Scenario{}}
+	byName map[string]*registered
+}{byName: map[string]*registered{}}
+
+// registered is one registry entry. sc is the registry's private clone and
+// is never mutated, so its fingerprint is computed at most once, on the
+// first FingerprintOf — not at Register, which would put the hash of every
+// family member on the cost of enabling the family.
+type registered struct {
+	sc   Scenario
+	once sync.Once
+	fp   string
+}
 
 // Register validates s and adds it to the registry. Duplicate names are an
 // error: a scenario is an identity, not a setting to silently overwrite.
@@ -25,7 +35,7 @@ func Register(s Scenario) error {
 	if _, dup := registry.byName[s.Name]; dup {
 		return fmt.Errorf("scenario: %q already registered", s.Name)
 	}
-	registry.byName[s.Name] = s.clone()
+	registry.byName[s.Name] = &registered{sc: s.clone()}
 	return nil
 }
 
@@ -41,11 +51,35 @@ func MustRegister(s Scenario) {
 func Lookup(name string) (Scenario, bool) {
 	registry.mu.RLock()
 	defer registry.mu.RUnlock()
-	s, ok := registry.byName[name]
+	r, ok := registry.byName[name]
 	if !ok {
 		return Scenario{}, false
 	}
-	return s.clone(), true
+	return r.sc.clone(), true
+}
+
+// Has reports whether a scenario is registered under name, without the
+// deep copy Lookup makes.
+func Has(name string) bool {
+	registry.mu.RLock()
+	defer registry.mu.RUnlock()
+	_, ok := registry.byName[name]
+	return ok
+}
+
+// FingerprintOf returns the Fingerprint of the named registered scenario.
+// The hash is computed the first time a name is asked for and stored with
+// the entry, so per-job callers pay a map read instead of a SHA-256 over
+// the canonical encoding.
+func FingerprintOf(name string) (string, bool) {
+	registry.mu.RLock()
+	r, ok := registry.byName[name]
+	registry.mu.RUnlock()
+	if !ok {
+		return "", false
+	}
+	r.once.Do(func() { r.fp = r.sc.Fingerprint() })
+	return r.fp, true
 }
 
 // List returns every registered scenario sorted by name, so listings and
@@ -54,8 +88,8 @@ func List() []Scenario {
 	registry.mu.RLock()
 	defer registry.mu.RUnlock()
 	out := make([]Scenario, 0, len(registry.byName))
-	for _, s := range registry.byName {
-		out = append(out, s.clone())
+	for _, r := range registry.byName {
+		out = append(out, r.sc.clone())
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
 	return out

@@ -693,8 +693,8 @@ func (m *Manager) archive(j *job, id string, res *dse.Result) {
 		Front:       frontPoints(res.Front),
 		CompletedAt: time.Now(),
 	}
-	if sc, ok := scenario.Lookup(j.spec.Scenario); ok {
-		stored.Fingerprint = sc.Fingerprint()
+	if fp, ok := scenario.FingerprintOf(j.spec.Scenario); ok {
+		stored.Fingerprint = fp
 	}
 	version, err := m.store.Put(stored)
 	if err != nil {
@@ -799,8 +799,9 @@ func (m *Manager) execute(j *job) (*dse.Result, error) {
 	// and drift onto a different trajectory.
 	if spec.Resume == nil && (spec.Algorithm == AlgoNSGA2 || spec.Algorithm == AlgoMOSA) {
 		if !j.seedsResolved {
+			fp, _ := scenario.FingerprintOf(spec.Scenario) // found: Lookup succeeded above, entries are never removed
 			seeds, wsInfo, err := ResolveWarmStart(m.store, spec.WarmStart,
-				sc.Fingerprint(), ObjectivesFull, spec.Algorithm, spec.Scenario, problem.Space())
+				fp, ObjectivesFull, spec.Algorithm, spec.Scenario, problem.Space())
 			if err != nil {
 				return nil, err
 			}

@@ -268,7 +268,7 @@ func (s Spec) Validate() error {
 	if s.Scenario == "" {
 		return fmt.Errorf("service: spec has no scenario")
 	}
-	if _, ok := scenario.Lookup(s.Scenario); !ok {
+	if !scenario.Has(s.Scenario) {
 		return fmt.Errorf("service: unknown scenario %q", s.Scenario)
 	}
 	switch s.Algorithm {
