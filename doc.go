@@ -102,15 +102,18 @@
 // With evaluation allocation-free, the search machinery above it is
 // engineered the same way. NSGA-II runs an ENS/Jensen-style fast
 // non-dominated sort — O(N log N) for the two-objective case, ENS with
-// binary search over fronts for three and more — on a reusable workspace,
+// binary search over fronts for three and more, where with exactly three
+// objectives each front's dominance test is one binary search in a
+// staircase of its members' (f2, f3) projections — on a reusable workspace,
 // ranks each generation's parent∪offspring union exactly once (the
 // survivors carry their union rank and crowding into the next
 // generation's tournaments, as in Deb's formulation), and recycles gene
 // and point buffers, so a steady-state generation performs zero heap
 // allocations. The Pareto archive stores its front sorted by lexicographic
 // objective order, which turns two-objective insertion into
-// O(log N + k)-comparison maintenance and prunes the dominance scans in
-// higher dimensions; MOSA chains reuse a single neighbour buffer. The sim
+// O(log N + k)-comparison maintenance, and merges whole evaluated batches
+// with one lexicographic sweep against the same staircase; MOSA chains
+// reuse a single neighbour buffer. The sim
 // engine's event core is typed: value-slot events in a slab recycled
 // through a free list, ordered by an index-addressed min-heap and
 // dispatched by (kind, node, arg) with no closure or interface boxing —

@@ -244,11 +244,10 @@ func DecodeSnapshotFile(data []byte) (*Snapshot, error) {
 	return snap, nil
 }
 
-// restoreArchive rebuilds an Archive from snapshot points. The stored set
-// is mutually non-dominated and insertion order never changes the archived
-// set, so the rebuilt front is bit-identical to the snapshotted one.
+// restoreArchive merges snapshot points into an Archive. A stored set is
+// mutually non-dominated and insertion order never changes the archived
+// set, so a front rebuilt into an empty archive is bit-identical to the
+// snapshotted one.
 func restoreArchive(arch *Archive, sps []SnapPoint) {
-	for _, sp := range sps {
-		arch.Add(sp.point())
-	}
+	arch.Merge(restorePoints(sps))
 }

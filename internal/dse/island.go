@@ -185,17 +185,13 @@ func InjectMigrants(space *Space, snap *Snapshot, migrants []SnapPoint) (*Snapsh
 		out.Crowd = append(InfFloats(nil), crowd...)
 		var arch Archive
 		restoreArchive(&arch, out.Archive)
-		for _, m := range accepted {
-			arch.Add(m.point())
-		}
+		restoreArchive(&arch, accepted)
 		out.Archive = snapPoints(arch.Points())
 	case "mosa":
 		for i := range out.Chains {
 			var arch Archive
 			restoreArchive(&arch, out.Chains[i].Archive)
-			for _, m := range accepted {
-				arch.Add(m.point())
-			}
+			restoreArchive(&arch, accepted)
 			out.Chains[i].Archive = snapPoints(arch.Points())
 		}
 	default:

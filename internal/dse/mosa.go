@@ -153,14 +153,13 @@ func MOSAOpts(space *Space, eval Evaluator, cfg MOSAConfig, opts Options) (*Resu
 		}
 	}
 
+	var front Archive
 	merged := func() *Archive {
-		var arch Archive
+		front.reset()
 		for _, c := range chains {
-			for _, p := range c.arch.Points() {
-				arch.Add(p)
-			}
+			front.Merge(c.arch.Points())
 		}
-		return &arch
+		return &front
 	}
 	for seg := startSeg; seg < segments; seg++ {
 		upTo := (seg + 1) * mosaSegment

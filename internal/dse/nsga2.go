@@ -1,9 +1,10 @@
 package dse
 
 import (
+	"cmp"
 	"fmt"
 	"math/rand"
-	"sort"
+	"slices"
 )
 
 // NSGA2Config parameterizes the genetic algorithm. Zero values select the
@@ -194,7 +195,6 @@ type nsga2Run struct {
 	union     []Point   // pop ∪ offspring
 	selIdx    []int     // environmental-selection permutation
 	ws        sortWorkspace
-	sel       selSorter
 }
 
 func newNSGA2Run(space *Space, pe *ParallelEvaluator, cfg NSGA2Config) *nsga2Run {
@@ -231,9 +231,7 @@ func (r *nsga2Run) seed(rng *rand.Rand, arch *Archive, seeds []Config) {
 		r.space.RandomInto(rng, r.children[i])
 	}
 	r.pop = r.pe.EvaluateBatchInto(r.children, r.pop)
-	for _, p := range r.pop {
-		arch.Add(p)
-	}
+	arch.Merge(r.pop)
 	ranks, crowd := r.ws.rankAndCrowd(r.pop)
 	copy(r.ranks, ranks)
 	copy(r.crowd, crowd)
@@ -260,9 +258,7 @@ func (r *nsga2Run) generation(rng *rand.Rand, arch *Archive) {
 		r.space.MutateInPlace(rng, child, r.cfg.MutationProb)
 	}
 	r.offspring = r.pe.EvaluateBatchInto(r.children, r.offspring)
-	for _, p := range r.offspring {
-		arch.Add(p)
-	}
+	arch.Merge(r.offspring)
 
 	// Elitist environmental selection over parents ∪ offspring, reusing
 	// the union's ranking for the survivors.
@@ -274,36 +270,23 @@ func (r *nsga2Run) generation(rng *rand.Rand, arch *Archive) {
 	for i := range idx {
 		idx[i] = i
 	}
-	r.sel.ranks, r.sel.crowd, r.sel.idx = uRanks, uCrowd, idx
-	sort.Sort(&r.sel)
+	// Rank ascending, then crowding descending, then index: a total order,
+	// so selection is deterministic even among exact (rank, crowding) ties.
+	slices.SortFunc(idx, func(a, b int) int {
+		if uRanks[a] != uRanks[b] {
+			return uRanks[a] - uRanks[b]
+		}
+		if c := cmp.Compare(uCrowd[b], uCrowd[a]); c != 0 {
+			return c
+		}
+		return a - b
+	})
 	r.pop = r.pop[:n]
 	for i := 0; i < n; i++ {
 		r.pop[i] = r.union[idx[i]]
 		r.ranks[i] = uRanks[idx[i]]
 		r.crowd[i] = uCrowd[idx[i]]
 	}
-}
-
-// selSorter orders union indices best-first for environmental selection:
-// rank ascending, then crowding descending, then index — a total order, so
-// selection is deterministic even among exact (rank, crowding) ties.
-type selSorter struct {
-	ranks []int
-	crowd []float64
-	idx   []int
-}
-
-func (s *selSorter) Len() int      { return len(s.idx) }
-func (s *selSorter) Swap(i, j int) { s.idx[i], s.idx[j] = s.idx[j], s.idx[i] }
-func (s *selSorter) Less(i, j int) bool {
-	a, b := s.idx[i], s.idx[j]
-	if s.ranks[a] != s.ranks[b] {
-		return s.ranks[a] < s.ranks[b]
-	}
-	if s.crowd[a] != s.crowd[b] {
-		return s.crowd[a] > s.crowd[b]
-	}
-	return a < b
 }
 
 // tournament returns the index of the binary-tournament winner: lower rank

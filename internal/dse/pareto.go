@@ -1,7 +1,9 @@
 package dse
 
 import (
+	"cmp"
 	"math"
+	"slices"
 	"sort"
 )
 
@@ -54,78 +56,6 @@ func dominatesConstrained(a, b Point) bool {
 	}
 }
 
-// NonDominated filters points to the Pareto-optimal subset among the
-// feasible ones (infeasible points never survive), preserving input order.
-// Duplicate objective vectors are kept once (the earliest occurrence).
-//
-// The filter runs on the lexicographic prefilter of the fast
-// non-dominated sort: after sorting feasible points by objectives only a
-// lexicographic predecessor can dominate a point, so the two-objective
-// case is a single O(N log N) sweep and higher dimensions compare each
-// point against the provisional front only.
-func NonDominated(points []Point) []Point {
-	order := make([]int, 0, len(points))
-	for i := range points {
-		if points[i].Feasible {
-			order = append(order, i)
-		}
-	}
-	if len(order) == 0 {
-		return nil
-	}
-	lex := lexSorter{pop: points, idx: order}
-	sort.Sort(&lex)
-
-	keep := make([]bool, len(points))
-	if len(points[order[0]].Objs) == 2 {
-		// Sweep: a distinct lexicographic predecessor dominates iff its
-		// second objective is <= ours; track the running minimum.
-		best := math.Inf(1)
-		for k, i := range order {
-			if k > 0 && equalObjs(points[order[k-1]].Objs, points[i].Objs) {
-				continue // duplicate: first occurrence already decided
-			}
-			if f2 := points[i].Objs[1]; f2 < best {
-				keep[i] = true
-				best = f2
-			}
-		}
-	} else {
-		front := order[:0:0] // front member indices, lex order
-		for k, i := range order {
-			if k > 0 && equalObjs(points[order[k-1]].Objs, points[i].Objs) {
-				continue
-			}
-			dominated := false
-			for m := len(front) - 1; m >= 0; m-- {
-				q := points[front[m]].Objs
-				dom := true
-				for d := range q {
-					if q[d] > points[i].Objs[d] {
-						dom = false
-						break
-					}
-				}
-				if dom {
-					dominated = true
-					break
-				}
-			}
-			if !dominated {
-				keep[i] = true
-				front = append(front, i)
-			}
-		}
-	}
-	var out []Point
-	for i := range points {
-		if keep[i] {
-			out = append(out, points[i])
-		}
-	}
-	return out
-}
-
 func equalObjs(a, b Objectives) bool {
 	if len(a) != len(b) {
 		return false
@@ -139,15 +69,19 @@ func equalObjs(a, b Objectives) bool {
 }
 
 // Archive maintains a non-dominated set incrementally, stored sorted by
-// lexicographic objective order. Keeping the front sorted by the first
-// objective is what makes insertion cheap: only lexicographic predecessors
-// can dominate a candidate and only successors can be dominated by it, so
-// the two-objective case (where sortedness additionally forces the second
-// objective to be strictly decreasing) inserts in O(log N + k) comparisons
-// for k evictions, and higher dimensions scan one pruned side each instead
-// of the whole front twice.
+// lexicographic objective order. Keeping the front sorted is what makes
+// maintenance cheap: only lexicographic predecessors can dominate a
+// candidate and only successors can be dominated by it. Add inserts one
+// point: in O(log N + k) comparisons for k evictions with two objectives
+// (where sortedness forces the second objective strictly decreasing), by
+// scanning one pruned side each with more. Merge folds a whole batch in
+// with one O((N+B) log(N+B)) sweep for two and three objectives, on
+// buffers the archive keeps, so a steady-state Merge allocates nothing.
 type Archive struct {
 	points []Point
+	spare  []Point   // Merge's output buffer; swapped with points
+	order  []int     // Merge's batch permutation
+	stairs staircase // Merge's sweep state
 }
 
 // Add inserts p if no archived point dominates it, evicting points it
@@ -162,7 +96,7 @@ func (a *Archive) Add(p Point) bool {
 	lo, hi := 0, n
 	for lo < hi {
 		mid := int(uint(lo+hi) >> 1)
-		if lexLessObjs(a.points[mid].Objs, p.Objs) {
+		if lexCompare(a.points[mid].Objs, p.Objs) < 0 {
 			lo = mid + 1
 		} else {
 			hi = mid
@@ -216,18 +150,88 @@ func (a *Archive) Add(p Point) bool {
 	return true
 }
 
-// lexLessObjs compares objective vectors lexicographically.
-func lexLessObjs(x, y Objectives) bool {
-	for i := range x {
-		if x[i] != y[i] {
-			return x[i] < y[i]
+// Merge adds every point of batch, with exactly the outcome of calling Add
+// on each in order: the same retained points, the first occurrence of an
+// equal objective vector kept (an archived one before any batch point),
+// the same lexicographic order. For two and three objectives it sweeps
+// archive ∪ batch once in lexicographic order, the batch sorted with ties
+// broken by batch index: a swept point survives exactly when the
+// staircase of the survivors' (f2, f3) projections (f2 alone with two
+// objectives) does not cover it. Other dimensions, and points of mixed
+// dimension, Add point by point. batch must not alias the archive's
+// storage, including a Points slice taken before an earlier Merge.
+func (a *Archive) Merge(batch []Point) {
+	a.order = a.order[:0]
+	for i := range batch {
+		if batch[i].Feasible {
+			a.order = append(a.order, i)
 		}
 	}
-	return false
+	if len(a.order) == 0 {
+		return
+	}
+	m := len(batch[a.order[0]].Objs)
+	sweep := m == 2 || m == 3
+	for _, i := range a.order {
+		sweep = sweep && len(batch[i].Objs) == m
+	}
+	for i := range a.points {
+		sweep = sweep && len(a.points[i].Objs) == m
+	}
+	if !sweep {
+		for _, i := range a.order {
+			a.Add(batch[i])
+		}
+		return
+	}
+	slices.SortFunc(a.order, func(i, j int) int {
+		if c := lexCompare(batch[i].Objs, batch[j].Objs); c != 0 {
+			return c
+		}
+		return i - j
+	})
+	out := a.spare[:0]
+	a.stairs.reset()
+	i, k := 0, 0
+	for i < len(a.points) || k < len(a.order) {
+		var p *Point
+		if k == len(a.order) || i < len(a.points) && lexCompare(a.points[i].Objs, batch[a.order[k]].Objs) <= 0 {
+			p = &a.points[i]
+			i++
+		} else {
+			p = &batch[a.order[k]]
+			k++
+		}
+		var y float64
+		if m == 3 {
+			y = p.Objs[2]
+		}
+		if a.stairs.insert(p.Objs[1], y) {
+			out = append(out, *p)
+		}
+	}
+	a.spare, a.points = a.points[:0], out
 }
 
-// Points returns the archived front in lexicographic objective order
-// (shared slice; callers must not modify). The sorted order is part of the
+// reset empties the archive, keeping its buffers.
+func (a *Archive) reset() { a.points = a.points[:0] }
+
+// lexCompare compares objective vectors lexicographically.
+func lexCompare(x, y Objectives) int {
+	for i := range x {
+		if x[i] != y[i] {
+			if x[i] < y[i] {
+				return -1
+			}
+			return 1
+		}
+	}
+	return 0
+}
+
+// Points returns the archived front in lexicographic objective order. The
+// slice is the archive's own storage: callers must not modify it, and it
+// is valid until the next Add or Merge. The sorted order is part of the
 // determinism story: the archived set never depends on insertion order,
 // and now neither does its presentation.
 func (a *Archive) Points() []Point { return a.points }
@@ -241,15 +245,16 @@ func (a *Archive) Len() int { return len(a.points) }
 // of the front even when objective vectors repeat.
 func CrowdingDistance(front []Point) []float64 {
 	dist := make([]float64, len(front))
-	idx := make([]int, len(front))
-	var s objSorter
-	crowdingInto(front, dist, idx, &s)
+	crowdingInto(front, dist, make([]int, len(front)))
 	return dist
 }
 
 // Hypervolume computes the dominated hypervolume of a front with respect
-// to a reference point (which every front point must weakly dominate).
-// Supported dimensions: 2 and 3, covering the paper's tradeoff plots.
+// to a reference point; points outside the reference box are ignored.
+// Supported dimensions: 2 and 3, covering the paper's tradeoff plots. Two
+// objectives cost one O(N log N) sweep; three sweep 2-D slices along the
+// third objective over an incrementally maintained staircase, O(N·S) for a
+// front whose slices have at most S non-dominated points.
 func Hypervolume(front []Point, ref Objectives) float64 {
 	pts := make([]Objectives, 0, len(front))
 	for _, p := range front {
@@ -298,24 +303,22 @@ func hv2(pts []Objectives, ref Objectives) float64 {
 
 // hv3 slices along the third objective: between consecutive z values the
 // dominated area is the 2-D hypervolume of the points with z below the
-// slice.
+// slice. The slice's staircase grows by one point per z level and its area
+// is summed exactly as hv2 would sum that slice, so the total matches the
+// per-slice recomputation bit for bit in O(N log N + N·S) for S stairs.
 func hv3(pts []Objectives, ref Objectives) float64 {
-	sort.Slice(pts, func(a, b int) bool { return pts[a][2] < pts[b][2] })
+	slices.SortFunc(pts, func(a, b Objectives) int { return cmp.Compare(a[2], b[2]) })
+	st := staircase{x: make([]float64, 0, len(pts)), y: make([]float64, 0, len(pts))}
 	var hv float64
-	for i := 0; i < len(pts); i++ {
+	for i, p := range pts {
+		st.insert(p[0], p[1])
 		zTop := ref[2]
 		if i+1 < len(pts) {
 			zTop = pts[i+1][2]
 		}
-		dz := zTop - pts[i][2]
-		if dz <= 0 {
-			continue
+		if dz := zTop - p[2]; dz > 0 {
+			hv += st.area(ref[0], ref[1]) * dz
 		}
-		slice := make([]Objectives, 0, i+1)
-		for j := 0; j <= i; j++ {
-			slice = append(slice, Objectives{pts[j][0], pts[j][1]})
-		}
-		hv += hv2(slice, Objectives{ref[0], ref[1]}) * dz
 	}
 	return hv
 }

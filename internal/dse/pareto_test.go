@@ -1,9 +1,11 @@
 package dse
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"reflect"
+	"sort"
 	"testing"
 	"testing/quick"
 )
@@ -69,6 +71,8 @@ func mkPoints(objs ...[]float64) []Point {
 	return pts
 }
 
+// TestNonDominated pins Merge as the batch Pareto filter: dominated points,
+// later duplicates and infeasible points stay out.
 func TestNonDominated(t *testing.T) {
 	pts := mkPoints(
 		[]float64{1, 5},
@@ -77,40 +81,52 @@ func TestNonDominated(t *testing.T) {
 		[]float64{4, 1},
 		[]float64{2, 3}, // duplicate
 	)
-	front := NonDominated(pts)
-	if len(front) != 3 {
-		t.Fatalf("front size = %d, want 3: %v", len(front), front)
+	for i := range pts {
+		pts[i].Config = Config{i}
+	}
+	var a Archive
+	a.Merge(pts)
+	var tags []int
+	for _, p := range a.Points() {
+		tags = append(tags, p.Config[0])
+	}
+	if want := []int{0, 1, 3}; !reflect.DeepEqual(tags, want) {
+		t.Fatalf("front tags = %v, want %v (first duplicate kept)", tags, want)
 	}
 	// Infeasible points never enter the front.
-	pts = append(pts, Point{Objs: Objectives{0, 0}, Feasible: false})
-	front = NonDominated(pts)
-	if len(front) != 3 {
+	var b Archive
+	b.Merge(append(pts, Point{Objs: Objectives{0, 0}, Feasible: false}))
+	if b.Len() != 3 {
 		t.Errorf("infeasible point entered the front")
 	}
 }
 
-// NonDominated must be idempotent and its output mutually non-dominated.
+// A merged front must be mutually non-dominated and a fixed point of Merge.
 func TestNonDominatedProperties(t *testing.T) {
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
-		n := 1 + r.Intn(40)
-		pts := make([]Point, n)
+		m := 2 + r.Intn(2)
+		pts := make([]Point, 1+r.Intn(40))
 		for i := range pts {
-			pts[i] = Point{
-				Objs:     Objectives{float64(r.Intn(10)), float64(r.Intn(10))},
-				Feasible: r.Intn(5) > 0,
+			objs := make(Objectives, m)
+			for d := range objs {
+				objs[d] = float64(r.Intn(10))
 			}
+			pts[i] = Point{Objs: objs, Feasible: r.Intn(5) > 0}
 		}
-		front := NonDominated(pts)
+		var a Archive
+		a.Merge(pts)
+		front := a.Points()
 		for i, p := range front {
 			for j, q := range front {
-				if i != j && Dominates(p.Objs, q.Objs) {
+				if i != j && (Dominates(p.Objs, q.Objs) || equalObjs(p.Objs, q.Objs)) {
 					return false
 				}
 			}
 		}
-		again := NonDominated(front)
-		return len(again) == len(front)
+		var again Archive
+		again.Merge(front)
+		return reflect.DeepEqual(again.Points(), front)
 	}
 	cfg := &quick.Config{
 		MaxCount: 200,
@@ -123,35 +139,33 @@ func TestNonDominatedProperties(t *testing.T) {
 	}
 }
 
-// The incremental archive must agree with the batch filter.
+// Merging one batch must keep the same points as the naive per-point
+// archive fed the same sequence.
 func TestArchiveMatchesBatchFilter(t *testing.T) {
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
-		n := 1 + r.Intn(60)
-		var arch Archive
-		var all []Point
-		for i := 0; i < n; i++ {
-			p := Point{
-				Objs:     Objectives{float64(r.Intn(8)), float64(r.Intn(8))},
-				Feasible: true,
+		m := 2 + r.Intn(2)
+		all := make([]Point, 1+r.Intn(60))
+		var naive naiveArchive
+		for i := range all {
+			objs := make(Objectives, m)
+			for d := range objs {
+				objs[d] = float64(r.Intn(8))
 			}
-			arch.Add(p)
-			all = append(all, p)
+			all[i] = Point{Config: Config{i}, Objs: objs, Feasible: true}
+			naive.Add(all[i])
 		}
-		batch := NonDominated(all)
-		if arch.Len() != len(batch) {
+		var arch Archive
+		arch.Merge(all)
+		if arch.Len() != len(naive.points) {
 			return false
 		}
-		// Same objective multisets.
-		seen := map[[2]float64]int{}
+		byTag := map[int]Objectives{}
+		for _, p := range naive.points {
+			byTag[p.Config[0]] = p.Objs
+		}
 		for _, p := range arch.Points() {
-			seen[[2]float64{p.Objs[0], p.Objs[1]}]++
-		}
-		for _, p := range batch {
-			seen[[2]float64{p.Objs[0], p.Objs[1]}]--
-		}
-		for _, v := range seen {
-			if v != 0 {
+			if q, ok := byTag[p.Config[0]]; !ok || !equalObjs(q, p.Objs) {
 				return false
 			}
 		}
@@ -166,6 +180,110 @@ func TestArchiveMatchesBatchFilter(t *testing.T) {
 	if err := quick.Check(f, cfg); err != nil {
 		t.Error(err)
 	}
+}
+
+// gridPoint draws a point whose objectives come from a small grid, so
+// equal vectors and ties on every axis are common.
+func gridPoint(r *rand.Rand, m, tag int) Point {
+	objs := make(Objectives, m)
+	for d := range objs {
+		objs[d] = float64(r.Intn(5))
+	}
+	return Point{Config: Config{tag}, Objs: objs, Feasible: r.Intn(6) > 0}
+}
+
+// sameArchive reports the first difference between two archives' points:
+// identity (Config tag), order and objective bits.
+func sameArchive(got, want []Point) string {
+	if len(got) != len(want) {
+		return fmt.Sprintf("size %d, want %d", len(got), len(want))
+	}
+	for i := range got {
+		g, w := got[i], want[i]
+		if g.Config[0] != w.Config[0] || len(g.Objs) != len(w.Objs) {
+			return fmt.Sprintf("point %d is %v%v, want %v%v", i, g.Config, g.Objs, w.Config, w.Objs)
+		}
+		for d := range g.Objs {
+			if math.Float64bits(g.Objs[d]) != math.Float64bits(w.Objs[d]) {
+				return fmt.Sprintf("point %d objectives %v, want %v", i, g.Objs, w.Objs)
+			}
+		}
+	}
+	return ""
+}
+
+// TestArchiveMergeMatchesAdd proves Merge equals Add on each batch point in
+// order — retained points, the Config kept for each equal vector, and
+// order — for two, three and four objectives, from empty and non-empty
+// archives, with infeasible points and duplicate vectors under distinct
+// Config tags.
+func TestArchiveMergeMatchesAdd(t *testing.T) {
+	for trial := 0; trial < 900; trial++ {
+		r := rand.New(rand.NewSource(int64(trial)))
+		m := 2 + trial%3
+		var merged, added Archive
+		tag := 0
+		for round := 0; round < 1+r.Intn(4); round++ {
+			batch := make([]Point, r.Intn(40))
+			for i := range batch {
+				batch[i] = gridPoint(r, m, tag)
+				tag++
+			}
+			merged.Merge(batch)
+			for _, p := range batch {
+				added.Add(p)
+			}
+			if diff := sameArchive(merged.Points(), added.Points()); diff != "" {
+				t.Fatalf("trial %d (M=%d) round %d: %s", trial, m, round, diff)
+			}
+		}
+	}
+}
+
+// FuzzArchiveMerge checks Merge against sequential Add on byte-derived
+// inputs: byte 0 picks the dimension (2, 3 or 4), byte 1 how many of the
+// points are added to both archives before the merge, and every following
+// group of M+1 bytes is one point — a feasibility byte, then objectives on
+// a grid that includes negative zero.
+func FuzzArchiveMerge(f *testing.F) {
+	f.Add([]byte{0, 0, 1, 1, 2})
+	f.Add([]byte{1, 2, 1, 0, 1, 2, 1, 2, 1, 0, 1, 1, 1, 1, 0, 5, 5, 5})
+	f.Add([]byte{2, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 0, 0, 0, 0, 0})
+	f.Add([]byte{1, 0, 1, 6, 0, 3, 1, 0, 6, 3, 1, 3, 3, 3, 1, 6, 6, 6})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) < 2 {
+			return
+		}
+		m := 2 + int(data[0]%3)
+		pre := int(data[1])
+		var pts []Point
+		for rest := data[2:]; len(rest) > m; rest = rest[m+1:] {
+			objs := make(Objectives, m)
+			for d := range objs {
+				v := float64(rest[1+d] % 7)
+				if v == 6 {
+					v = math.Copysign(0, -1)
+				}
+				objs[d] = v
+			}
+			pts = append(pts, Point{Config: Config{len(pts)}, Objs: objs, Feasible: rest[0]%5 != 0})
+		}
+		if pre > len(pts) {
+			pre = len(pts)
+		}
+		var merged, added Archive
+		for _, p := range pts[:pre] {
+			merged.Add(p)
+			added.Add(p)
+		}
+		merged.Merge(pts[pre:])
+		for _, p := range pts[pre:] {
+			added.Add(p)
+		}
+		if diff := sameArchive(merged.Points(), added.Points()); diff != "" {
+			t.Fatal(diff)
+		}
+	})
 }
 
 func TestArchiveRejectsDuplicatesAndDominated(t *testing.T) {
@@ -311,6 +429,68 @@ func TestHypervolume3D(t *testing.T) {
 	two := mkPoints([]float64{0, 2, 0}, []float64{2, 0, 2})
 	if got := Hypervolume(two, Objectives{3, 3, 3}); math.Abs(got-11) > 1e-12 {
 		t.Errorf("HV = %g, want 11", got)
+	}
+}
+
+// hv3Reference is the per-slice hypervolume hv3 replaced: it re-sorts and
+// re-allocates a 2-D slice at every z level. It is kept as the oracle the
+// incremental staircase must match bit for bit.
+func hv3Reference(pts []Objectives, ref Objectives) float64 {
+	sort.Slice(pts, func(a, b int) bool { return pts[a][2] < pts[b][2] })
+	var hv float64
+	for i := 0; i < len(pts); i++ {
+		zTop := ref[2]
+		if i+1 < len(pts) {
+			zTop = pts[i+1][2]
+		}
+		dz := zTop - pts[i][2]
+		if dz <= 0 {
+			continue
+		}
+		slice := make([]Objectives, 0, i+1)
+		for j := 0; j <= i; j++ {
+			slice = append(slice, Objectives{pts[j][0], pts[j][1]})
+		}
+		hv += hv2(slice, Objectives{ref[0], ref[1]}) * dz
+	}
+	return hv
+}
+
+// TestHypervolume3DMatchesReference compares Hypervolume with the
+// per-slice reference by float bits on 1200 fronts: grid-valued sets
+// (ties on every axis, duplicates, points on the reference planes) and
+// continuous ones, each with dominated points and points outside the
+// reference box.
+func TestHypervolume3DMatchesReference(t *testing.T) {
+	ref := Objectives{5, 5, 5}
+	for trial := 0; trial < 1200; trial++ {
+		r := rand.New(rand.NewSource(int64(trial)))
+		grid := trial%2 == 0
+		pts := make([]Point, r.Intn(60))
+		var inside []Objectives
+		for i := range pts {
+			objs := make(Objectives, 3)
+			for d := range objs {
+				if grid {
+					objs[d] = float64(r.Intn(7))
+				} else {
+					objs[d] = r.Float64() * 5.5
+				}
+			}
+			pts[i] = Point{Objs: objs, Feasible: true}
+			if objs[0] <= ref[0] && objs[1] <= ref[1] && objs[2] <= ref[2] {
+				inside = append(inside, objs)
+			}
+		}
+		got := Hypervolume(pts, ref)
+		want := 0.0
+		if len(inside) > 0 {
+			want = hv3Reference(inside, ref)
+		}
+		if math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("trial %d: Hypervolume = %v (%#x), reference %v (%#x)\npoints: %v",
+				trial, got, math.Float64bits(got), want, math.Float64bits(want), inside)
+		}
 	}
 }
 

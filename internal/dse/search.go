@@ -51,9 +51,7 @@ func ExhaustiveOpts(space *Space, eval Evaluator, maxPoints, workers int, opts O
 	}
 	batch := make([]Config, 0, exhaustiveBatch)
 	flush := func() {
-		for _, p := range pe.EvaluateBatchInto(batch, nil) {
-			arch.Add(p)
-		}
+		arch.Merge(pe.EvaluateBatchInto(batch, nil))
 		batch = batch[:0]
 	}
 	idx := 0
@@ -129,9 +127,7 @@ func RandomSearchOpts(space *Space, eval Evaluator, budget int, seed int64, work
 		}
 		drawn += n
 		points = pe.EvaluateBatchInto(configs, points)
-		for _, p := range points {
-			arch.Add(p)
-		}
+		arch.Merge(points)
 		consumed := drawn
 		err := opts.boundary("random", (drawn+exhaustiveBatch-1)/exhaustiveBatch, totalBatches, pe,
 			func() []Point { return arch.Points() },

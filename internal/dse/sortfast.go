@@ -1,16 +1,18 @@
 package dse
 
 import (
+	"cmp"
 	"math"
-	"sort"
+	"slices"
 )
 
 // This file holds the fast non-dominated sorting machinery behind the
 // NSGA-II generation loop: an ENS/Jensen-style sort that is O(N log N) for
 // the two-objective case (the paper's baseline view) and an ENS-BS sort
-// with a lexicographic prefilter for three and more objectives, both
-// running entirely on reusable workspace buffers so steady-state
-// generations allocate nothing.
+// with a lexicographic prefilter for three and more objectives, which for
+// exactly three objectives tests front dominance against a per-front
+// staircase in O(log N), both running entirely on reusable workspace
+// buffers so steady-state generations allocate nothing.
 //
 // Equivalence with the O(MN²) reference implementation
 // (rankAndCrowdNaive) is part of the contract, not an aspiration: both
@@ -25,62 +27,20 @@ import (
 // search internals produce bit-identical NSGA-II runs.
 var testNaiveRank = false
 
-// lexSorter sorts a population index permutation by lexicographic
-// objective order, ties broken by index so the permutation is a
-// deterministic function of the population. It is persistent workspace
-// state so sort.Sort sees an already-heap-allocated value and the sort
-// itself allocates nothing.
-type lexSorter struct {
-	pop []Point
-	idx []int
-}
-
-func (s *lexSorter) Len() int      { return len(s.idx) }
-func (s *lexSorter) Swap(i, j int) { s.idx[i], s.idx[j] = s.idx[j], s.idx[i] }
-func (s *lexSorter) Less(i, j int) bool {
-	a, b := s.idx[i], s.idx[j]
-	x, y := s.pop[a].Objs, s.pop[b].Objs
-	for k := range x {
-		if x[k] != y[k] {
-			return x[k] < y[k]
-		}
-	}
-	return a < b
-}
-
-// objSorter orders front-local indices by one objective, ties broken by
-// index — the deterministic ordering the crowding computation runs on.
-type objSorter struct {
-	front []Point
-	idx   []int
-	obj   int
-}
-
-func (s *objSorter) Len() int      { return len(s.idx) }
-func (s *objSorter) Swap(i, j int) { s.idx[i], s.idx[j] = s.idx[j], s.idx[i] }
-func (s *objSorter) Less(i, j int) bool {
-	a, b := s.front[s.idx[i]].Objs[s.obj], s.front[s.idx[j]].Objs[s.obj]
-	if a != b {
-		return a < b
-	}
-	return s.idx[i] < s.idx[j]
-}
-
 // sortWorkspace owns every buffer the fast non-dominated sort needs, so a
 // search algorithm that keeps one workspace per run ranks populations of
 // any (stable) size without allocating after the first generation.
 type sortWorkspace struct {
 	ranks  []int
 	crowd  []float64
-	order  []int     // feasible population indices in lexicographic order
-	minf2  []float64 // two-objective sweep: min f2 per front, non-decreasing
-	fronts [][]int   // per-front member indices (ENS state, then crowding buckets)
-	nf     int       // fronts in use
-	member []Point   // one front's points, gathered for crowding
-	dist   []float64 // crowding scratch
-	idx    []int     // crowding scratch
-	lex    lexSorter
-	objs   objSorter
+	order  []int       // feasible population indices in lexicographic order
+	minf2  []float64   // two-objective sweep: min f2 per front, non-decreasing
+	fronts [][]int     // per-front member indices (ENS state, then crowding buckets)
+	stairs []staircase // three-objective ENS state: per-front (f2, f3) staircase
+	nf     int         // fronts in use
+	member []Point     // one front's points, gathered for crowding
+	dist   []float64   // crowding scratch
+	idx    []int       // crowding scratch
 }
 
 // rankAndCrowd computes the non-domination rank (0 = best) and crowding
@@ -109,9 +69,12 @@ func (ws *sortWorkspace) rankAndCrowd(pop []Point) (ranks []int, crowd []float64
 			infeasible++
 		}
 	}
-	ws.lex.pop, ws.lex.idx = pop, ws.order
-	sort.Sort(&ws.lex)
-	ws.lex.pop = nil
+	slices.SortFunc(ws.order, func(i, j int) int {
+		if c := lexCompare(pop[i].Objs, pop[j].Objs); c != 0 {
+			return c
+		}
+		return i - j
+	})
 
 	maxRank := -1
 	if len(ws.order) > 0 {
@@ -146,7 +109,7 @@ func (ws *sortWorkspace) rankAndCrowd(pop []Point) (ranks []int, crowd []float64
 		}
 		ws.dist = growFloats(ws.dist, len(members))
 		ws.idx = growInts(ws.idx, len(members))
-		crowdingInto(ws.member, ws.dist, ws.idx, &ws.objs)
+		crowdingInto(ws.member, ws.dist, ws.idx)
 		for k, i := range members {
 			ws.crowd[i] = ws.dist[k]
 		}
@@ -196,10 +159,14 @@ func (ws *sortWorkspace) sweep2(pop []Point) int {
 // for three and more objectives: points arrive in lexicographic order, so
 // only already-placed points can dominate a newcomer, domination of a
 // lex-earlier distinct point reduces to componentwise <=, and the fronts
-// that dominate a point always form a prefix. Exact duplicates inherit the
-// representative's front and are not re-added as members. Returns the
-// highest feasible rank.
+// that dominate a point always form a prefix. With three objectives the
+// first objective is already ordered, so a front dominates a point exactly
+// when the staircase of its members' (f2, f3) projections covers the
+// point's; more objectives scan the front's members. Exact duplicates
+// inherit the representative's front and are not re-added as members.
+// Returns the highest feasible rank.
 func (ws *sortWorkspace) ensBS(pop []Point) int {
+	three := len(pop[ws.order[0]].Objs) == 3
 	ws.nf = 0
 	for k, i := range ws.order {
 		if k > 0 {
@@ -208,10 +175,17 @@ func (ws *sortWorkspace) ensBS(pop []Point) int {
 				continue
 			}
 		}
+		objs := pop[i].Objs
 		lo, hi := 0, ws.nf
 		for lo < hi {
 			mid := int(uint(lo+hi) >> 1)
-			if ws.frontDominates(pop, mid, pop[i].Objs) {
+			var dom bool
+			if three {
+				dom = ws.stairs[mid].covers(objs[1], objs[2])
+			} else {
+				dom = ws.frontDominates(pop, mid, objs)
+			}
+			if dom {
 				lo = mid + 1
 			} else {
 				hi = mid
@@ -221,10 +195,18 @@ func (ws *sortWorkspace) ensBS(pop []Point) int {
 			if ws.nf == len(ws.fronts) {
 				ws.fronts = append(ws.fronts, nil)
 			}
+			if ws.nf == len(ws.stairs) {
+				ws.stairs = append(ws.stairs, staircase{})
+			}
 			ws.fronts[ws.nf] = ws.fronts[ws.nf][:0]
+			ws.stairs[ws.nf].reset()
 			ws.nf++
 		}
-		ws.fronts[lo] = append(ws.fronts[lo], i)
+		if three {
+			ws.stairs[lo].insert(objs[1], objs[2])
+		} else {
+			ws.fronts[lo] = append(ws.fronts[lo], i)
+		}
 		ws.ranks[i] = lo
 	}
 	return ws.nf - 1
@@ -266,8 +248,9 @@ func (ws *sortWorkspace) ensureFronts(n int) {
 // crowdingInto is the canonical crowding computation: NSGA-II crowding
 // distance over front, written into dist, with the per-objective orderings
 // fully determined (objective value, then front position) so equal inputs
-// always produce bit-equal outputs regardless of sort algorithm.
-func crowdingInto(front []Point, dist []float64, idx []int, s *objSorter) {
+// always produce bit-equal outputs regardless of sort algorithm. idx is
+// scratch of len(front).
+func crowdingInto(front []Point, dist []float64, idx []int) {
 	n := len(front)
 	for i := range dist[:n] {
 		dist[i] = 0
@@ -276,13 +259,16 @@ func crowdingInto(front []Point, dist []float64, idx []int, s *objSorter) {
 		return
 	}
 	m := len(front[0].Objs)
-	s.front, s.idx = front, idx
 	for obj := 0; obj < m; obj++ {
 		for i := range idx {
 			idx[i] = i
 		}
-		s.obj = obj
-		sort.Sort(s)
+		slices.SortFunc(idx, func(i, j int) int {
+			if c := cmp.Compare(front[i].Objs[obj], front[j].Objs[obj]); c != 0 {
+				return c
+			}
+			return i - j
+		})
 		lo := front[idx[0]].Objs[obj]
 		hi := front[idx[n-1]].Objs[obj]
 		dist[idx[0]] = math.Inf(1)
@@ -294,7 +280,6 @@ func crowdingInto(front []Point, dist []float64, idx []int, s *objSorter) {
 			dist[idx[k]] += (front[idx[k+1]].Objs[obj] - front[idx[k-1]].Objs[obj]) / (hi - lo)
 		}
 	}
-	s.front = nil
 }
 
 // rankAndCrowdNaive is the O(MN²) reference: pairwise constrained-dominance

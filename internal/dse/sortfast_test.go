@@ -7,11 +7,13 @@ import (
 )
 
 // randomPopulation draws a population with duplicate-heavy discrete
-// objectives (grid) or continuous ones, two or three objectives, and a
-// feasibility mix — the degenerate shapes the fast sort must handle.
+// objectives (grid) or continuous ones, two, three or four objectives, and
+// a feasibility mix — the degenerate shapes the fast sort must handle.
+// Each dimension takes its own ENS path: Jensen's sweep, the staircase,
+// and the member scan.
 func randomPopulation(r *rand.Rand) []Point {
 	n := 1 + r.Intn(80)
-	m := 2 + r.Intn(2)
+	m := 2 + r.Intn(3)
 	grid := r.Intn(2) == 0
 	pop := make([]Point, n)
 	for i := range pop {
@@ -29,7 +31,7 @@ func randomPopulation(r *rand.Rand) []Point {
 }
 
 // TestFastSortMatchesNaive is the equivalence proof the tentpole demands:
-// on >= 1000 randomized populations (2 and 3 objectives, duplicates,
+// on >= 1000 randomized populations (2, 3 and 4 objectives, duplicates,
 // infeasible mixes, singleton and all-equal degenerate shapes) the fast
 // workspace sort returns exactly the naive reference's ranks and
 // bit-identical crowding distances.
@@ -175,7 +177,7 @@ func TestArchiveMatchesNaiveArchive(t *testing.T) {
 			if !ok || !equalObjs(q.Objs, p.Objs) {
 				t.Fatalf("trial %d: archived point %v absent from naive archive", trial, p)
 			}
-			if prev != nil && !lexLessObjs(prev, p.Objs) {
+			if prev != nil && lexCompare(prev, p.Objs) >= 0 {
 				t.Fatalf("trial %d: Points not in strict lexicographic order: %v !< %v", trial, prev, p.Objs)
 			}
 			prev = p.Objs
@@ -190,7 +192,19 @@ func TestArchiveMatchesNaiveArchive(t *testing.T) {
 // performs zero heap allocations.
 func TestNSGA2GenerationSteadyStateZeroAllocs(t *testing.T) {
 	s := testSpace(6, 3)
-	eval := &convexEvaluator{space: s}
+	assertGenerationZeroAllocs(t, s, &convexEvaluator{space: s})
+}
+
+// TestNSGA2ThreeObjectiveGenerationZeroAllocs is the same gate at the
+// production dimension, where ranking runs on per-front staircases and the
+// archive merges through its double buffers.
+func TestNSGA2ThreeObjectiveGenerationZeroAllocs(t *testing.T) {
+	s := testSpace(4, 3, 3)
+	assertGenerationZeroAllocs(t, s, &simplexEvaluator{space: s})
+}
+
+func assertGenerationZeroAllocs(t *testing.T, s *Space, eval Evaluator) {
+	t.Helper()
 	cfg := NSGA2Config{PopulationSize: 16, Generations: 1, Seed: 3, Workers: 1}
 	cfg = cfg.withDefaults(len(s.Params))
 	pe := NewParallelEvaluator(eval, 1)
@@ -198,7 +212,7 @@ func TestNSGA2GenerationSteadyStateZeroAllocs(t *testing.T) {
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	r := newNSGA2Run(s, pe, cfg)
 	r.seed(rng, &arch, nil)
-	for gen := 0; gen < 30; gen++ { // saturate the 18-point memo cache
+	for gen := 0; gen < 30; gen++ { // saturate the memo cache (at most 36 points)
 		r.generation(rng, &arch)
 	}
 	allocs := testing.AllocsPerRun(100, func() {
@@ -207,6 +221,25 @@ func TestNSGA2GenerationSteadyStateZeroAllocs(t *testing.T) {
 	if allocs != 0 {
 		t.Fatalf("steady-state generation allocates %.1f objects, want 0", allocs)
 	}
+}
+
+// simplexEvaluator is convexEvaluator's three-objective twin: the first two
+// genes place a point on the plane f1 + f2 + f3 = 1 and the remaining genes
+// add the same excess to every objective, so the front is the excess-free
+// simplex.
+type simplexEvaluator struct{ space *Space }
+
+func (e *simplexEvaluator) NumObjectives() int { return 3 }
+
+func (e *simplexEvaluator) Evaluate(c Config) (Objectives, error) {
+	u := e.space.Value(c, 0) / float64(len(e.space.Params[0].Values)-1) / 2
+	v := e.space.Value(c, 1) / float64(len(e.space.Params[1].Values)-1) / 2
+	excess := 0.0
+	for i := 2; i < len(c); i++ {
+		excess += e.space.Value(c, i)
+	}
+	excess /= 10
+	return Objectives{u + excess, v + excess, 1 - u - v + excess}, nil
 }
 
 // TestMOSAChainSteadyStateZeroAllocs is the annealing twin: once every
